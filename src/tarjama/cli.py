@@ -154,7 +154,9 @@ def collect_translated_units(queue_dir) -> list[TranslatedUnit]:
         record = json.loads(path.read_text(encoding="utf-8"))
         for obj in record["units"]:
             unit = unit_from_dict(obj)
-            assert isinstance(unit, TranslatedUnit)
+            if not isinstance(unit, TranslatedUnit):
+                raise CorpusError(f"{path}: done record holds a unit "
+                                  "without 'translated_text'")
             units.append(unit)
     return units
 

@@ -36,7 +36,6 @@ class PipelineConfig:
     alpha: float = DEFAULT_ALPHA
     tau: float = DEFAULT_TAU
     backend: BackendConfig = field(default_factory=BackendConfig)
-    queue_dir: str = "queue"
     ttl_seconds: float = 1800.0
     max_attempts: int = 3
     batch_size: int = 8
@@ -131,7 +130,6 @@ def load_config(path: Optional[str] = None) -> PipelineConfig:
         )
     if parser.has_section("queue"):
         section = parser["queue"]
-        cfg.queue_dir = section.get("dir", cfg.queue_dir)
         cfg.ttl_seconds = section.getfloat("ttl_seconds", cfg.ttl_seconds)
         cfg.max_attempts = section.getint("max_attempts", cfg.max_attempts)
         cfg.batch_size = section.getint("batch_size", cfg.batch_size)

@@ -11,6 +11,10 @@ processes on a shared filesystem:
   a record already exists, making completion exactly-once per task;
 * task files are written to a temp name and renamed into place.
 
+A draining worker lists pending/ once per pass and claims the listed
+tasks in directory order, not sorted order, so a drain's cost per task
+does not grow with the queue's depth.
+
 Task ids are content hashes of the batch, so re-enqueueing the same
 units is a no-op.
 """
@@ -28,8 +32,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .backends import TranslatorBackend, translate_chunk
-from .corpus import (TranslatedUnit, TranslationUnit, unit_from_dict,
-                     unit_to_dict)
+from .corpus import TranslationUnit, unit_from_dict, unit_to_dict
 
 logger = logging.getLogger(__name__)
 
@@ -174,55 +177,76 @@ def _try_lock(lock_path: Path, lease: Lease) -> bool:
     return True
 
 
+def _pending_ids(pending: Path) -> list[str]:
+    """Task ids in pending/, in directory order; empty if it is missing."""
+    try:
+        with os.scandir(pending) as entries:
+            return [entry.name[:-5] for entry in entries
+                    if entry.name.endswith(".json")]
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+
+
+def _claim(dirs: dict[str, Path], task_id: str, worker_id: str, ttl: float,
+           now: Callable[[], float]) -> Optional[Task]:
+    """Lease one task by id, or None when it is done, held or gone.
+
+    Expired leases are taken over (incrementing the task's attempt
+    counter); exclusive lock-file creation guarantees no double grant."""
+    pending_path = dirs["pending"] / f"{task_id}.json"
+    done_path = dirs["done"] / f"{task_id}.json"
+    lock_path = dirs["leases"] / f"{task_id}.lock"
+    if done_path.exists():
+        # Completed by a worker that died before tidying up.
+        pending_path.unlink(missing_ok=True)
+        lock_path.unlink(missing_ok=True)
+        return None
+    took_over = False
+    lease = Lease(task_id=task_id, worker_id=worker_id,
+                  acquired_at=now(), ttl=ttl)
+    if not _try_lock(lock_path, lease):
+        existing = _read_lease(lock_path)
+        if existing is None or not existing.expired(now()):
+            return None
+        # Claim the stale lock by renaming it away; exactly one
+        # claimant wins the rename, then locking proceeds normally.
+        stale = lock_path.with_name(f".{task_id}.stale.{uuid.uuid4().hex}")
+        try:
+            os.rename(lock_path, stale)
+        except FileNotFoundError:
+            return None
+        stale.unlink(missing_ok=True)
+        lease = Lease(task_id=task_id, worker_id=worker_id,
+                      acquired_at=now(), ttl=ttl)
+        if not _try_lock(lock_path, lease):
+            return None
+        took_over = True
+    try:
+        task = _task_from_dict(json.loads(pending_path.read_text(encoding="utf-8")))
+    except (OSError, json.JSONDecodeError):
+        # Task vanished (completed) or is mid-replacement; back off.
+        lock_path.unlink(missing_ok=True)
+        return None
+    if took_over:
+        task.attempt += 1
+        _atomic_write_json(pending_path, _task_to_dict(task))
+    return task
+
+
 def acquire(queue_dir: Union[str, Path], worker_id: str,
             ttl: float = DEFAULT_TTL_SECONDS,
             now: Callable[[], float] = time.time) -> Optional[Task]:
     """Claim one pending task, or None when nothing is claimable.
 
-    Expired leases are taken over (incrementing the task's attempt
-    counter); exclusive lock-file creation guarantees no double grant."""
+    Lists pending/ once and returns the first task, in directory order,
+    that can be leased.  Expired leases are taken over (incrementing the
+    task's attempt counter); exclusive lock-file creation guarantees no
+    double grant."""
     dirs = _dirs(queue_dir)
-    if not dirs["pending"].is_dir():
-        return None
-    for pending_path in sorted(dirs["pending"].glob("*.json")):
-        task_id = pending_path.stem
-        done_path = dirs["done"] / f"{task_id}.json"
-        lock_path = dirs["leases"] / f"{task_id}.lock"
-        if done_path.exists():
-            # Completed by a worker that died before tidying up.
-            pending_path.unlink(missing_ok=True)
-            lock_path.unlink(missing_ok=True)
-            continue
-        took_over = False
-        lease = Lease(task_id=task_id, worker_id=worker_id,
-                      acquired_at=now(), ttl=ttl)
-        if not _try_lock(lock_path, lease):
-            existing = _read_lease(lock_path)
-            if existing is None or not existing.expired(now()):
-                continue
-            # Claim the stale lock by renaming it away; exactly one
-            # claimant wins the rename, then locking proceeds normally.
-            stale = lock_path.with_name(f".{task_id}.stale.{uuid.uuid4().hex}")
-            try:
-                os.rename(lock_path, stale)
-            except FileNotFoundError:
-                continue
-            stale.unlink(missing_ok=True)
-            lease = Lease(task_id=task_id, worker_id=worker_id,
-                          acquired_at=now(), ttl=ttl)
-            if not _try_lock(lock_path, lease):
-                continue
-            took_over = True
-        try:
-            task = _task_from_dict(json.loads(pending_path.read_text(encoding="utf-8")))
-        except (OSError, json.JSONDecodeError):
-            # Task vanished (completed) or is mid-replacement; back off.
-            lock_path.unlink(missing_ok=True)
-            continue
-        if took_over:
-            task.attempt += 1
-            _atomic_write_json(pending_path, _task_to_dict(task))
-        return task
+    for task_id in _pending_ids(dirs["pending"]):
+        task = _claim(dirs, task_id, worker_id, ttl, now)
+        if task is not None:
+            return task
     return None
 
 
@@ -237,19 +261,13 @@ def complete(queue_dir: Union[str, Path], task: Task, worker_id: str,
     if missing:
         raise ResultIncompleteError(missing)
     dirs = _dirs(queue_dir)
-    translated = [
-        TranslatedUnit(**{f: getattr(u, f) for f in (
-            "conversation_id", "message_index", "part_type", "part_index",
-            "chunk_index", "chunk_count", "role", "source_text")},
-            translated_text=results[u.key], translator_id=task.translator_id)
-        for u in task.units
-    ]
     record = {
         "task_id": task.task_id,
         "translator_id": task.translator_id,
         "worker_id": worker_id,
         "attempt": task.attempt,
-        "units": [unit_to_dict(u) for u in translated],
+        "units": [dict(unit_to_dict(u), translated_text=results[u.key],
+                       translator_id=task.translator_id) for u in task.units],
     }
     done_path = dirs["done"] / f"{task.task_id}.json"
     published = _exclusive_publish_json(done_path, record)
@@ -297,33 +315,46 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
                 sleep: Callable[[float], None] = time.sleep) -> int:
     """Process tasks until the queue drains; returns the completed count.
 
+    The worker lists pending/ once per pass and tries to claim each
+    listed task in directory order, not sorted order; it lists again only
+    when the pass is used up, so a drain costs one listing per pass, not
+    one per task.  It returns when a fresh listing is empty and sleeps
+    ``poll_interval`` only after a pass that claimed nothing, while other
+    workers still hold the remaining leases.
+
     Crash-safe: leases left by killed workers expire and their tasks are
     retried.  Tasks whose attempt counter exceeds ``max_attempts`` move
     to failed/ instead of being retried forever."""
     processed = 0
     dirs = _dirs(queue_dir)
+    idle = False
     while True:
-        task = acquire(queue_dir, worker_id, ttl=ttl, now=now)
-        if task is None:
-            if not any(dirs["pending"].glob("*.json")):
-                return processed
+        task_ids = _pending_ids(dirs["pending"])
+        if not task_ids:
+            return processed
+        if idle:
             sleep(poll_interval)
-            continue
-        if task.attempt >= max_attempts:
-            fail_task(queue_dir, task, worker_id,
-                      f"exceeded {max_attempts} attempts")
-            logger.warning("task %s moved to failed/ after %d attempts",
-                           task.task_id, task.attempt)
-            continue
-        try:
-            results = {
-                unit.key: translate_chunk(backend, unit, prompt_template,
-                                          target_language=target_language)
-                for unit in task.units
-            }
-        except Exception as exc:
-            fail_task(queue_dir, task, worker_id, f"translation failed: {exc}")
-            logger.error("task %s failed: %s", task.task_id, exc)
-            continue
-        if complete(queue_dir, task, worker_id, results):
-            processed += 1
+        idle = True
+        for task_id in task_ids:
+            task = _claim(dirs, task_id, worker_id, ttl, now)
+            if task is None:
+                continue
+            idle = False
+            if task.attempt >= max_attempts:
+                fail_task(queue_dir, task, worker_id,
+                          f"exceeded {max_attempts} attempts")
+                logger.warning("task %s moved to failed/ after %d attempts",
+                               task.task_id, task.attempt)
+                continue
+            try:
+                results = {
+                    unit.key: translate_chunk(backend, unit, prompt_template,
+                                              target_language=target_language)
+                    for unit in task.units
+                }
+            except Exception as exc:
+                fail_task(queue_dir, task, worker_id, f"translation failed: {exc}")
+                logger.error("task %s failed: %s", task.task_id, exc)
+                continue
+            if complete(queue_dir, task, worker_id, results):
+                processed += 1

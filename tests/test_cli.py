@@ -98,6 +98,31 @@ def test_decompose_enqueue_work_reconstruct_chain(tmp_path, fixture_corpus):
     assert rebuilt.read_bytes() == corpus_path.read_bytes()
 
 
+
+def test_reconstruct_rejects_done_record_without_translation(tmp_path, capsys):
+    conv = make_conversation("c1", contents=[("user", "hi")])
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text(corpus_jsonl([conv]), encoding="utf-8")
+    units = tmp_path / "units.jsonl"
+    queue = tmp_path / "queue"
+    assert run(["decompose", "--input", str(corpus_path),
+                "--units-out", str(units)], tmp_path)[0] == 0
+    assert run(["enqueue", "--units", str(units), "--queue", str(queue),
+                "--translator-id", "mock"], tmp_path)[0] == 0
+    assert run(["work", "--queue", str(queue), "--worker-id", "w0",
+                "--backend", "mock-identity"], tmp_path)[0] == 0
+    (record_path,) = (queue / "done").glob("*.json")
+    record = json.loads(record_path.read_text(encoding="utf-8"))
+    del record["units"][0]["translated_text"]
+    record_path.write_text(json.dumps(record), encoding="utf-8")
+
+    rc, _ = run(["reconstruct", "--from-queue", str(queue),
+                 "--corpus", str(corpus_path),
+                 "--out", str(tmp_path / "rebuilt.jsonl")], tmp_path)
+    assert rc == 1
+    assert record_path.name in capsys.readouterr().err
+
+
 def test_score_then_rank_produces_winners(tmp_path):
     conversations = [
         make_conversation(f"c{i}", split="dev",

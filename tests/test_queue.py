@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import time
 from pathlib import Path
 
@@ -156,6 +157,51 @@ def test_worker_loop_sends_poison_to_failed(tmp_path):
     assert processed == 0
     status = queue_status(tmp_path, now=clock)
     assert status["failed"] == 1 and status["pending"] == 0
+
+
+def test_worker_loop_lists_pending_once_per_pass(tmp_path, monkeypatch):
+    enqueue(tmp_path, make_units(200), "seed", batch_size=1)
+    pending = tmp_path / "pending"
+    listings = []
+    real_scandir = os.scandir
+
+    def counting_scandir(path="."):
+        if Path(path) == pending:
+            listings.append(path)
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", counting_scandir)
+    backend = TranslatorBackend(id="seed", kind="mock-identity")
+    assert worker_loop(tmp_path, backend, "w1", ttl=60, poll_interval=0.01) == 200
+    # One pass over the first listing, then one empty listing to finish.
+    assert 1 <= len(listings) <= 3
+
+
+class EnqueueOnFirstLookup(dict):
+    """Identity table that enqueues one more task on its first lookup."""
+
+    def __init__(self, queue_dir):
+        super().__init__()
+        self.queue_dir = queue_dir
+        self.fired = False
+
+    def get(self, key, default=None):
+        if not self.fired:
+            self.fired = True
+            enqueue(self.queue_dir, make_units(1, conv="late"), "seed", batch_size=1)
+        return key
+
+
+def test_worker_loop_completes_task_enqueued_mid_drain(tmp_path):
+    enqueue(tmp_path, make_units(6), "seed", batch_size=2)
+    backend = TranslatorBackend(id="seed", kind="mock-table",
+                                table=EnqueueOnFirstLookup(tmp_path))
+    processed = worker_loop(tmp_path, backend, "w1", ttl=60, poll_interval=0.01)
+    assert processed == 4
+    status = queue_status(tmp_path)
+    assert status == {"pending": 0, "leased": 0, "done": 4, "failed": 0}
+    late = [json.loads(p.read_text()) for p in (tmp_path / "done").glob("*.json")]
+    assert any(r["units"][0]["conversation_id"] == "late" for r in late)
 
 
 # -- multi-process races -----------------------------------------------------
