@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-import requests
-
 from .corpus import Conversation, TranslationUnit, conversation_to_dict
 from .tokenizers import TokenizerSpec, count_tokens
 
@@ -61,6 +59,8 @@ class TranslatorBackend:
 
 def _post_chat(backend: TranslatorBackend, prompt: str,
                sleep=time.sleep) -> str:
+    import requests  # loaded only when an HTTP backend is used
+
     headers = {"Content-Type": "application/json"}
     if backend.api_key_env:
         key = os.environ.get(backend.api_key_env)
@@ -127,6 +127,8 @@ class HttpRewardScorer:
         self.timeout = timeout
 
     def __call__(self, source: Conversation, candidate: Conversation) -> float:
+        import requests  # loaded only when an HTTP endpoint is used
+
         resp = requests.post(self.endpoint, json={
             "source": conversation_to_dict(source),
             "candidate": conversation_to_dict(candidate),

@@ -19,12 +19,13 @@ to the input exactly.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
-from .tokenizers import TokenizerSpec, TokenSpan, tokenize
+from .tokenizers import TokenizerSpec, tokenize
 
-SENTENCE_CHARS = frozenset(".?!؟۔")
-PARAGRAPH_BREAK = "\n\n"
+_SENTENCE_RE = re.compile(r"[.?!؟۔]|\n\n")
+_WHITESPACE_RE = re.compile(r"\s+")
 
 BOUNDARY_SENTENCE = "sentence"
 BOUNDARY_WHITESPACE = "whitespace"
@@ -37,8 +38,6 @@ class ChunkPolicy:
     target_tokens: int = 490
     window_tokens: int = 50
     hard_cap_tokens: int = 506  # 512 minus a small prompt reserve
-    boundary_tiers: tuple[str, ...] = field(
-        default=(BOUNDARY_SENTENCE, BOUNDARY_WHITESPACE, BOUNDARY_HARD))
 
     def __post_init__(self) -> None:
         if self.target_tokens <= 0:
@@ -56,17 +55,11 @@ class Chunk:
     boundary_kind: str
 
 
-def _candidate_offsets(text: str, spans: list[TokenSpan]) -> tuple[list[int], list[int]]:
-    """Cut offsets (index after the token holding the boundary char)."""
-    sentence: list[int] = []
-    whitespace: list[int] = []
-    for i, span in enumerate(spans):
-        tok = text[span.start:span.end]
-        if any(ch in SENTENCE_CHARS for ch in tok) or PARAGRAPH_BREAK in tok:
-            sentence.append(i + 1)
-        if any(ch.isspace() for ch in tok):
-            whitespace.append(i + 1)
-    return sentence, whitespace
+def _cut_offsets(pattern: re.Pattern, text: str, ends: list[int]) -> list[int]:
+    """Ascending, distinct cut offsets just after each token that holds the
+    start of a *pattern* match."""
+    return list(dict.fromkeys(bisect.bisect_right(ends, m.start()) + 1
+                              for m in pattern.finditer(text)))
 
 
 def _best_in_window(cands: list[int], lo: int, hi: int, t_star: int) -> int | None:
@@ -81,16 +74,19 @@ def _best_in_window(cands: list[int], lo: int, hi: int, t_star: int) -> int | No
 
 
 def plan_chunks(text: str, spec: TokenizerSpec, policy: ChunkPolicy) -> list[Chunk]:
-    spans = tokenize(text, spec)
-    n = len(spans)
+    ends = tokenize(text, spec)
+    n = len(ends)
     if n == 0:
         # Empty parts still need one (empty) chunk so decomposition and
         # reconstruction stay total.
         return [Chunk(text="", token_count=0, boundary_kind=BOUNDARY_END)]
+    if n <= policy.hard_cap_tokens:
+        return [Chunk(text=text, token_count=n, boundary_kind=BOUNDARY_END)]
 
-    sentence, whitespace = _candidate_offsets(text, spans)
+    sentence = _cut_offsets(_SENTENCE_RE, text, ends)
+    whitespace = _cut_offsets(_WHITESPACE_RE, text, ends)
     chunks: list[Chunk] = []
-    cur = 0
+    cur = pos = 0
     while n - cur > policy.hard_cap_tokens:
         t_star = cur + policy.target_tokens
         lo = cur + policy.target_tokens - policy.window_tokens
@@ -104,15 +100,10 @@ def plan_chunks(text: str, spec: TokenizerSpec, policy: ChunkPolicy) -> list[Chu
         if cut is None:
             cut = t_star
             kind = BOUNDARY_HARD
-        chunks.append(Chunk(
-            text=text[spans[cur].start:spans[cut - 1].end],
-            token_count=cut - cur,
-            boundary_kind=kind,
-        ))
-        cur = cut
-    chunks.append(Chunk(
-        text=text[spans[cur].start:spans[n - 1].end],
-        token_count=n - cur,
-        boundary_kind=BOUNDARY_END,
-    ))
+        end = ends[cut - 1]
+        chunks.append(Chunk(text=text[pos:end], token_count=cut - cur,
+                            boundary_kind=kind))
+        cur, pos = cut, end
+    chunks.append(Chunk(text=text[pos:], token_count=n - cur,
+                        boundary_kind=BOUNDARY_END))
     return chunks

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -130,8 +131,11 @@ class Candidate:
     conversation: Conversation
 
 
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+
+
 def _has_surrogates(text: str) -> bool:
-    return any(0xD800 <= ord(ch) <= 0xDFFF for ch in text)
+    return _SURROGATE_RE.search(text) is not None
 
 
 def message_from_dict(obj: Mapping, index: int) -> Message:

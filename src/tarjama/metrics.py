@@ -9,7 +9,8 @@ where a 0/0 count pair contributes factor 1 and an asymmetric zero
 contributes factor 0.  Script Purity (SCR) measures the share of
 Arabic-script letters/digits among scored characters after whitelisted
 spans (URLs, emails, code, math) are removed, divided by a leeway
-threshold tau and capped at 1.
+threshold tau and capped at 1.  A Script=Inherited mark counts in the
+class of the base character before it.
 """
 
 from __future__ import annotations
@@ -90,9 +91,12 @@ def lr_score(inputs: LrInputs) -> float:
     )
 
 
+_WHITESPACE_RE = re.compile(r"\s+")
+
+
 def text_counts(text: str) -> tuple[int, int]:
     """(whitespace codepoints, non-whitespace codepoints)."""
-    ws = sum(1 for ch in text if ch.isspace())
+    ws = sum(map(len, _WHITESPACE_RE.findall(text)))
     return ws, len(text) - ws
 
 
@@ -150,19 +154,57 @@ def classify_char(ch: str, prev_base_class: Optional[str] = None) -> str:
     return CLASS_IGNORE
 
 
+# SCR tallies a text by translating it to one letter per codepoint.
+# Bases -- every codepoint that is not a mark -- map to the letter of
+# their class.  Marks outside Script=Inherited have a class of their own
+# (Arabic or ignored) but do not change the base, so they get letters of
+# their own.  Script=Inherited marks (UAX #24) map to "m" and take the
+# class of the nearest base before them.
+_BASE_LETTERS = {CLASS_ARABIC: "a", CLASS_OTHER_LETTER: "o",
+                 CLASS_ASCII_DIGIT: "d", CLASS_IGNORE: "i"}
+_OWN_CLASS_MARK_LETTERS = {CLASS_ARABIC: "A", CLASS_IGNORE: "I"}
+_INHERITED_LETTER = "m"
+_DROP_OWN_CLASS_MARKS = str.maketrans("", "", "".join(_OWN_CLASS_MARK_LETTERS.values()))
+_ARABIC_MARK_RUN = re.compile("a(m+)")
+_OTHER_LETTER_MARK_RUN = re.compile("o(m+)")
+_DIGIT_MARK_RUN = re.compile("d(m+)")
+
+
+class _ScriptClassTable(dict):
+    """Codepoint -> SCR class letter, filled on first use from classify_char."""
+
+    def __missing__(self, cp: int) -> str:
+        ch = chr(cp)
+        # Only an inherited mark's class depends on the base before it.
+        if classify_char(ch, CLASS_ARABIC) != classify_char(ch, CLASS_OTHER_LETTER):
+            letter = _INHERITED_LETTER
+        elif unicodedata.category(ch) in _MARK_CATEGORIES:
+            letter = _OWN_CLASS_MARK_LETTERS[classify_char(ch)]
+        else:
+            letter = _BASE_LETTERS[classify_char(ch)]
+        self[cp] = letter
+        return letter
+
+
+_SCRIPT_CLASSES = _ScriptClassTable()
+
+
+def _marks_after(run: re.Pattern, classes: str) -> int:
+    return len("".join(run.findall(classes)))
+
+
 def tally_scripts(text: str) -> ScriptTally:
-    arabic = other = digits = 0
-    prev_base: Optional[str] = None
-    for ch in text:
-        cls = classify_char(ch, prev_base)
-        if unicodedata.category(ch) not in _MARK_CATEGORIES:
-            prev_base = cls
-        if cls == CLASS_ARABIC:
-            arabic += 1
-        elif cls == CLASS_OTHER_LETTER:
-            other += 1
-        elif cls == CLASS_ASCII_DIGIT:
-            digits += 1
+    classes = text.translate(_SCRIPT_CLASSES)
+    arabic = classes.count("a") + classes.count("A")
+    other = classes.count("o")
+    digits = classes.count("d")
+    if _INHERITED_LETTER in classes:
+        # Own-class marks sit inside a run of inherited marks without
+        # breaking it, so drop them before matching base + run.
+        classes = classes.translate(_DROP_OWN_CLASS_MARKS)
+        arabic += _marks_after(_ARABIC_MARK_RUN, classes)
+        other += _marks_after(_OTHER_LETTER_MARK_RUN, classes)
+        digits += _marks_after(_DIGIT_MARK_RUN, classes)
     return ScriptTally(arabic, other, digits)
 
 
@@ -178,8 +220,12 @@ def script_purity(target: str, params: ScrParams = ScrParams()) -> float:
     return min(1.0, arabic_script_ratio(tally) / params.tau)
 
 
+_CJK_RE = re.compile("[" + "".join(f"\\U{lo:08x}-\\U{hi:08x}"
+                                     for lo, hi in uniscript.CJK_RANGES) + "]")
+
+
 def contains_cjk(text: str) -> bool:
-    return any(uniscript.is_cjk(ord(ch)) for ch in text)
+    return _CJK_RE.search(text) is not None
 
 
 def score_example(source: Conversation, candidate: Candidate,

@@ -11,8 +11,10 @@ Two kinds are supported:
   and offset-preserving; exact agreement with the originating model's
   tokenizer is not guaranteed.
 
-Both kinds emit spans that tile the input exactly: non-overlapping,
-sorted, no gaps.  Offsets are Unicode code-point indices into the text.
+Both kinds return the exclusive end offset of each token, in order.
+Tokens tile the input exactly, so token ``i`` spans
+``text[ends[i - 1]:ends[i]]`` (from 0 for the first) and the last end is
+``len(text)``.  Offsets are Unicode code-point indices into the text.
 """
 
 from __future__ import annotations
@@ -34,12 +36,6 @@ class ConfigurationError(Exception):
 _TOKEN_RE = re.compile(r"\s+|[^\W_]+|.", re.DOTALL)
 
 TOKENIZER_KINDS = ("builtin-regex", "external-vocab")
-
-
-@dataclass(frozen=True)
-class TokenSpan:
-    start: int
-    end: int  # exclusive
 
 
 @dataclass(frozen=True)
@@ -124,23 +120,25 @@ def _encoder_for(spec: TokenizerSpec) -> _BpeEncoder:
     return enc
 
 
-def tokenize(text: str, spec: TokenizerSpec) -> list[TokenSpan]:
-    spans = [TokenSpan(m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
+def tokenize(text: str, spec: TokenizerSpec) -> list[int]:
+    """End offsets of the tokens of *text*, ascending."""
     if spec.kind == "builtin-regex":
-        return spans
+        return [m.end() for m in _TOKEN_RE.finditer(text)]
     encoder = _encoder_for(spec)
-    out: list[TokenSpan] = []
-    for span in spans:
-        segment = text[span.start:span.end]
+    ends: list[int] = []
+    for m in _TOKEN_RE.finditer(text):
+        segment = m.group()
         if segment.isspace():
-            out.append(span)
+            ends.append(m.end())
             continue
-        pos = span.start
+        pos = m.start()
         for length in encoder.encode_segment(segment):
-            out.append(TokenSpan(pos, pos + length))
             pos += length
-    return out
+            ends.append(pos)
+    return ends
 
 
 def count_tokens(text: str, spec: TokenizerSpec) -> int:
+    if spec.kind == "builtin-regex":
+        return len(_TOKEN_RE.findall(text))
     return len(tokenize(text, spec))

@@ -91,7 +91,6 @@ def _starts(ranges: tuple[tuple[int, int], ...]) -> list[int]:
 
 _ARABIC_STARTS = _starts(ARABIC_RANGES)
 _INHERITED_STARTS = _starts(INHERITED_RANGES)
-_CJK_STARTS = _starts(CJK_RANGES)
 
 
 def _in_ranges(cp: int, starts: list[int], ranges: tuple[tuple[int, int], ...]) -> bool:
@@ -105,7 +104,3 @@ def is_arabic_script(cp: int) -> bool:
 
 def is_inherited(cp: int) -> bool:
     return _in_ranges(cp, _INHERITED_STARTS, INHERITED_RANGES)
-
-
-def is_cjk(cp: int) -> bool:
-    return _in_ranges(cp, _CJK_STARTS, CJK_RANGES)

@@ -27,9 +27,10 @@ import logging
 import os
 import time
 import uuid
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .backends import TranslatorBackend, translate_chunk
 from .corpus import TranslationUnit, unit_from_dict, unit_to_dict
@@ -177,14 +178,17 @@ def _try_lock(lock_path: Path, lease: Lease) -> bool:
     return True
 
 
-def _pending_ids(pending: Path) -> list[str]:
-    """Task ids in pending/, in directory order; empty if it is missing."""
+def _pending_ids(pending: Path) -> Iterator[str]:
+    """Task ids in pending/, read lazily in directory order; none if it is
+    missing."""
     try:
-        with os.scandir(pending) as entries:
-            return [entry.name[:-5] for entry in entries
-                    if entry.name.endswith(".json")]
+        entries = os.scandir(pending)
     except (FileNotFoundError, NotADirectoryError):
-        return []
+        return
+    with entries:
+        for entry in entries:
+            if entry.name.endswith(".json"):
+                yield entry.name[:-5]
 
 
 def _claim(dirs: dict[str, Path], task_id: str, worker_id: str, ttl: float,
@@ -238,15 +242,16 @@ def acquire(queue_dir: Union[str, Path], worker_id: str,
             now: Callable[[], float] = time.time) -> Optional[Task]:
     """Claim one pending task, or None when nothing is claimable.
 
-    Lists pending/ once and returns the first task, in directory order,
-    that can be leased.  Expired leases are taken over (incrementing the
-    task's attempt counter); exclusive lock-file creation guarantees no
-    double grant."""
+    Reads pending/ in directory order and returns the first task that can
+    be leased, without listing the rest.  Expired leases are taken over
+    (incrementing the task's attempt counter); exclusive lock-file
+    creation guarantees no double grant."""
     dirs = _dirs(queue_dir)
-    for task_id in _pending_ids(dirs["pending"]):
-        task = _claim(dirs, task_id, worker_id, ttl, now)
-        if task is not None:
-            return task
+    with closing(_pending_ids(dirs["pending"])) as task_ids:
+        for task_id in task_ids:
+            task = _claim(dirs, task_id, worker_id, ttl, now)
+            if task is not None:
+                return task
     return None
 
 
@@ -329,7 +334,7 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
     dirs = _dirs(queue_dir)
     idle = False
     while True:
-        task_ids = _pending_ids(dirs["pending"])
+        task_ids = list(_pending_ids(dirs["pending"]))
         if not task_ids:
             return processed
         if idle:

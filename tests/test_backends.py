@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+import tarjama
 from tarjama.backends import (BackendError, BudgetExceededError,
                               HttpRewardScorer, TranslatorBackend,
                               translate_chunk)
@@ -17,6 +21,17 @@ def unit(text="hi"):
     return TranslationUnit(conversation_id="c", message_index=0,
                            part_type="visible", part_index=0, chunk_index=0,
                            chunk_count=1, role="user", source_text=text)
+
+
+def test_importing_cli_does_not_load_requests():
+    # requests costs most of the start-up time of every tarjama process,
+    # so only HTTP backends load it.
+    src = os.path.dirname(os.path.dirname(tarjama.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, tarjama.cli; print(sorted(m for m in sys.modules if m.startswith('requests')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_mock_identity_returns_source():

@@ -1,11 +1,13 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tarjama.chunking import (BOUNDARY_END, BOUNDARY_HARD, BOUNDARY_SENTENCE,
+from tarjama.chunking import (_SENTENCE_RE, _WHITESPACE_RE, BOUNDARY_END,
+                              BOUNDARY_HARD, BOUNDARY_SENTENCE,
                               BOUNDARY_WHITESPACE, Chunk, ChunkPolicy,
-                              plan_chunks)
+                              _cut_offsets, plan_chunks)
 from tarjama.tokenizers import TokenizerSpec, tokenize
 
 BUILTIN = TokenizerSpec.builtin()
@@ -15,7 +17,8 @@ SENT = ".?!؟۔"
 def reference_plan(text, spec, policy):
     """Brute-force re-implementation: per cut, enumerate every offset in
     the window and test it directly against the tier definitions."""
-    spans = tokenize(text, spec)
+    ends = tokenize(text, spec)
+    spans = list(zip([0] + ends, ends))
     n = len(spans)
     if n == 0:
         return [Chunk("", 0, BOUNDARY_END)]
@@ -35,7 +38,7 @@ def reference_plan(text, spec, policy):
             for c in range(lo, hi + 1):
                 if c <= cur or c > n:
                     continue
-                tok = text[spans[c - 1].start:spans[c - 1].end]
+                tok = text[spans[c - 1][0]:spans[c - 1][1]]
                 if test(tok) and (best is None or
                                   abs(c - t_star) < abs(best - t_star)):
                     best = c
@@ -44,10 +47,47 @@ def reference_plan(text, spec, policy):
                 break
         if cut is None:
             cut, kind = t_star, BOUNDARY_HARD
-        out.append(Chunk(text[spans[cur].start:spans[cut - 1].end], cut - cur, kind))
+        out.append(Chunk(text[spans[cur][0]:spans[cut - 1][1]], cut - cur, kind))
         cur = cut
-    out.append(Chunk(text[spans[cur].start:spans[n - 1].end], n - cur, BOUNDARY_END))
+    out.append(Chunk(text[spans[cur][0]:spans[n - 1][1]], n - cur, BOUNDARY_END))
     return out
+
+
+def reference_candidate_offsets(text, ends):
+    """Per token: cut offset after each token holding a sentence char or a
+    paragraph break, and after each token holding any whitespace."""
+    sentence, whitespace = [], []
+    for i, (start, end) in enumerate(zip([0] + ends, ends)):
+        tok = text[start:end]
+        if any(ch in SENT for ch in tok) or "\n\n" in tok:
+            sentence.append(i + 1)
+        if any(ch.isspace() for ch in tok):
+            whitespace.append(i + 1)
+    return sentence, whitespace
+
+
+@pytest.fixture(scope="module")
+def bpe_spec(tmp_path_factory):
+    definition = {"vocab": {"a": 0, "b": 1, "ab": 2, "نص": 3},
+                  "merges": [["a", "b"], ["ن", "ص"]]}
+    path = tmp_path_factory.mktemp("vocab") / "tiny.json"
+    path.write_text(json.dumps(definition), encoding="utf-8")
+    return TokenizerSpec.external(str(path))
+
+
+CHUNK_CHARS = list("ab نص.?!؟۔\n\n\t#_٣") + ["\u00a0", "\u2028", "\u3000",
+                                                 "\u1680", "\x85", "\u200b"]
+
+
+@given(st.text(alphabet=st.sampled_from(CHUNK_CHARS) | st.characters(
+    blacklist_categories=("Cs",)), max_size=300))
+@settings(max_examples=300)
+def test_cut_offsets_match_reference(bpe_spec, text):
+    for spec in (BUILTIN, bpe_spec):
+        ends = tokenize(text, spec)
+        assert (_cut_offsets(_SENTENCE_RE, text, ends),
+                _cut_offsets(_WHITESPACE_RE, text, ends)) == \
+            reference_candidate_offsets(text, ends)
 
 
 def synthetic_text(rng: random.Random, approx_tokens: int) -> str:

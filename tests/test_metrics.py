@@ -1,9 +1,11 @@
+import itertools
 import math
 import unicodedata
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tarjama import uniscript
 from tarjama.corpus import Candidate
 from tarjama.metrics import (CLASS_ARABIC, CLASS_ASCII_DIGIT, CLASS_IGNORE,
                              CLASS_OTHER_LETTER, LrInputs, ScrParams,
@@ -275,6 +277,87 @@ def test_cjk_detection():
     assert contains_cjk("ok 㐀 ok")  # extension A
     assert contains_cjk("\U00020000")    # extension B
     assert not contains_cjk("カタカナ")   # kana is not an ideograph block
+
+
+# -- table and regex kernels against per-character references ----------------
+
+
+def reference_text_counts(text):
+    ws = sum(1 for ch in text if ch.isspace())
+    return ws, len(text) - ws
+
+
+def reference_tally_scripts(text):
+    """One codepoint at a time: an inherited mark takes the class of the
+    last non-mark before it."""
+    arabic = other = digits = 0
+    prev_base = None
+    for ch in text:
+        cls = classify_char(ch, prev_base)
+        if unicodedata.category(ch) not in ("Mn", "Mc", "Me"):
+            prev_base = cls
+        if cls == CLASS_ARABIC:
+            arabic += 1
+        elif cls == CLASS_OTHER_LETTER:
+            other += 1
+        elif cls == CLASS_ASCII_DIGIT:
+            digits += 1
+    return ScriptTally(arabic, other, digits)
+
+
+def reference_contains_cjk(text):
+    return any(lo <= ord(ch) <= hi for ch in text for lo, hi in uniscript.CJK_RANGES)
+
+
+STRESS_CHARS = (
+    list("ابتثجحخدذرسشعغفقكلمنهوي")           # Arabic bases
+    + list("\u064b\u064c\u064e\u064f\u0650\u0651\u0652\u0655")  # harakat
+    + ["\u0670"]                                # superscript alef
+    + ["\u200c", "\u200d"]                     # ZWNJ, ZWJ
+    + ["\ufe00", "\ufe0f", "\U000e0100"]      # variation selectors
+    + ["\u0301", "\u0485", "\u20dd"]          # other Script=Inherited marks
+    + ["\u0610", "\u06d6", "\u06ed", "\u08d3"]   # Arabic non-inherited marks
+    + ["\u0903", "\u0e31", "\u0488", "\u093c"]   # other non-inherited marks
+    + ["\U0001d400", "\U00010400", "\U0001ee00", "\U00010e60"]  # astral
+    + ["漢", "\u3400", "\u9fff", "\uf900", "\U00020000", "\U0002f800",
+       "\U000323af", "カ", "\u3007"]              # CJK and near misses
+    + ["\u00a0", "\u2028", "\u2029", "\u3000", "\u1680", "\x85", "\x1c",
+       "\u180e", "\u200b", "\ufeff"]            # exotic (non-)whitespace
+    + list("aZ09٣۳ .?!؟۔\n\t_#")
+)
+stress_text = st.text(
+    alphabet=st.sampled_from(STRESS_CHARS) | st.characters(blacklist_categories=("Cs",)),
+    max_size=200)
+
+
+@given(stress_text)
+@settings(max_examples=500)
+def test_tally_scripts_matches_reference(text):
+    assert tally_scripts(text) == reference_tally_scripts(text)
+
+
+@given(stress_text)
+@settings(max_examples=300)
+def test_text_counts_matches_reference(text):
+    assert text_counts(text) == reference_text_counts(text)
+
+
+@given(stress_text)
+@settings(max_examples=300)
+def test_contains_cjk_matches_reference(text):
+    assert contains_cjk(text) == reference_contains_cjk(text)
+
+
+def test_text_counts_on_every_codepoint():
+    text = "".join(map(chr, itertools.chain(range(0xD800), range(0xE000, 0x110000))))
+    assert text_counts(text) == reference_text_counts(text)
+
+
+def test_tally_scripts_on_every_bmp_codepoint_before_a_mark():
+    # Each codepoint is the base (or not) of the inherited fatha after it.
+    text = "".join(chr(cp) + "\u064e" for cp in
+                   itertools.chain(range(0xD800), range(0xE000, 0x10000)))
+    assert tally_scripts(text) == reference_tally_scripts(text)
 
 
 # -- score_example -----------------------------------------------------------

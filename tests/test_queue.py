@@ -177,6 +177,47 @@ def test_worker_loop_lists_pending_once_per_pass(tmp_path, monkeypatch):
     assert 1 <= len(listings) <= 3
 
 
+class CountingEntries:
+    """Wraps a scandir iterator and records every entry read from it."""
+
+    def __init__(self, entries, read):
+        self._entries = entries
+        self._read = read
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        self._entries.close()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        entry = next(self._entries)
+        self._read.append(entry.name)
+        return entry
+
+
+def test_acquire_stops_at_first_claimable_task(tmp_path, monkeypatch):
+    enqueue(tmp_path, make_units(300), "seed", batch_size=1)
+    pending = tmp_path / "pending"
+    read = []
+    real_scandir = os.scandir
+
+    def counting_scandir(path="."):
+        entries = real_scandir(path)
+        return CountingEntries(entries, read) if Path(path) == pending else entries
+
+    monkeypatch.setattr(os, "scandir", counting_scandir)
+    assert acquire(tmp_path, "w1", ttl=60) is not None
+    # The first entry is claimable, so acquire need not read the other 299.
+    assert 1 <= len(read) <= 3
+
+
 class EnqueueOnFirstLookup(dict):
     """Identity table that enqueues one more task on its first lookup."""
 
