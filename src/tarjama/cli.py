@@ -14,9 +14,12 @@ import json
 import logging
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import replace
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from . import __version__, uniscript
 from .backends import BackendError, HttpRewardScorer, TranslatorBackend
@@ -25,9 +28,10 @@ from .config import BackendConfig, ConfigurationError, PipelineConfig, load_conf
 from .corpus import (Candidate, Conversation, CorpusError, TranslatedUnit,
                      conversation_from_dict, conversation_to_dict, decompose,
                      group_units_by_conversation, identity_translate,
-                     load_corpus, read_units, reconstruct, split_parts,
-                     unit_from_dict, write_corpus, write_units)
-from .metrics import score_example
+                     jsonl_line, load_corpus, read_units, reconstruct, split_parts,
+                     unit_from_dict, unit_to_dict, write_corpus, write_jsonl,
+                     write_units)
+from .metrics import QualityScore, score_example
 from .ranking import FitError, PreferenceRecord, bt_fit, combine_scores
 from .stats import (FilterPolicy, ReportMeta, StrataPolicy, aggregate_split,
                     apply_filter, emit_report, stratified_sample,
@@ -60,19 +64,12 @@ def build_chunk_plan(conversation: Conversation, spec: TokenizerSpec,
 
 
 def _read_jsonl(path: str) -> list[dict]:
-    rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+        return [json.loads(line) for line in fh if line.strip()]
 
 
-def _write_jsonl(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+def _open_out(path):
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _chunk_policy(args, cfg: PipelineConfig) -> ChunkPolicy:
@@ -146,36 +143,35 @@ def cmd_work(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def collect_translated_units(queue_dir) -> list[TranslatedUnit]:
-    """Gather translated units from every done/ record."""
-    units: list[TranslatedUnit] = []
+def read_done_units(queue_dir,
+                    task_ids: Optional[Iterable[str]] = None) -> Iterator[TranslatedUnit]:
+    """Yield the translated units of every done/ record in sorted order, or
+    of *task_ids*' records in the given order (CorpusError if one is missing)."""
     done = Path(queue_dir) / "done"
-    for path in sorted(done.glob("*.json")):
-        record = json.loads(path.read_text(encoding="utf-8"))
+    paths = (sorted(done.glob("*.json")) if task_ids is None
+             else (done / f"{task_id}.json" for task_id in task_ids))
+    for path in paths:
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise CorpusError(f"task {path.stem} has no done/ record") from None
         for obj in record["units"]:
             unit = unit_from_dict(obj)
             if not isinstance(unit, TranslatedUnit):
                 raise CorpusError(f"{path}: done record holds a unit "
                                   "without 'translated_text'")
-            units.append(unit)
-    return units
+            yield unit
 
 
 def _reconstruct_corpus(units: list[TranslatedUnit],
                         sources: Optional[list[Conversation]]) -> list[Conversation]:
     grouped = group_units_by_conversation(units)
-    by_id = {c.id: c for c in sources} if sources else {}
-    order = [c.id for c in sources] if sources else list(grouped)
-    out = []
-    for conv_id in order:
-        if conv_id not in grouped:
-            raise CorpusError(f"no translated units for conversation {conv_id!r}")
-        source = by_id.get(conv_id)
-        conv = reconstruct(grouped[conv_id], split=source.split if source else "")
-        if source is not None:
-            conv.category = source.category
-        out.append(conv)
-    return out
+    if not sources:
+        return [reconstruct(group) for group in grouped.values()]
+    missing = [c.id for c in sources if c.id not in grouped]
+    if missing:
+        raise CorpusError(f"no translated units for conversation {missing[0]!r}")
+    return [reconstruct(grouped[c.id], c.split, c.category) for c in sources]
 
 
 def cmd_reconstruct(args, cfg: PipelineConfig) -> int:
@@ -183,7 +179,7 @@ def cmd_reconstruct(args, cfg: PipelineConfig) -> int:
         units = [u for u in read_units(args.translated_units)
                  if isinstance(u, TranslatedUnit)]
     else:
-        units = collect_translated_units(args.from_queue)
+        units = list(read_done_units(args.from_queue))
     sources = load_corpus(args.corpus, strict=cfg.strict) if args.corpus else None
     conversations = _reconstruct_corpus(units, sources)
     write_corpus(conversations, args.out)
@@ -192,14 +188,24 @@ def cmd_reconstruct(args, cfg: PipelineConfig) -> int:
 
 
 def _load_candidates(path: str) -> list[Candidate]:
-    candidates = []
-    for row in _read_jsonl(path):
-        candidates.append(Candidate(
-            conversation_id=row["conversation_id"],
-            translator_id=row["translator_id"],
-            conversation=conversation_from_dict(row["conversation"]),
-        ))
-    return candidates
+    return [Candidate(row["conversation_id"], row["translator_id"],
+                      conversation_from_dict(row["conversation"]))
+            for row in _read_jsonl(path)]
+
+
+def _score_row(source: Conversation, candidate: Candidate,
+               cfg: PipelineConfig, alpha: float, tau: float) -> dict:
+    """The candidate's ids, the source's split and the QualityScore fields."""
+    quality = score_example(source, candidate, alpha=alpha, tau=tau,
+                            tokenizer=cfg.analysis_tokenizer)
+    return {"conversation_id": candidate.conversation_id,
+            "translator_id": candidate.translator_id, "split": source.split,
+            "lr": quality.lr, "scr": quality.scr, "tokens": quality.tokens,
+            "turns": quality.turns}
+
+
+def _quality(row: dict) -> QualityScore:
+    return QualityScore(row["lr"], row["scr"], row["tokens"], row["turns"])
 
 
 def cmd_score(args, cfg: PipelineConfig) -> int:
@@ -213,17 +219,7 @@ def cmd_score(args, cfg: PipelineConfig) -> int:
         if source is None:
             raise CorpusError(
                 f"candidate references unknown conversation {candidate.conversation_id!r}")
-        quality = score_example(source, candidate, alpha=alpha, tau=tau,
-                                tokenizer=cfg.analysis_tokenizer)
-        row = {
-            "conversation_id": candidate.conversation_id,
-            "translator_id": candidate.translator_id,
-            "split": source.split,
-            "lr": quality.lr,
-            "scr": quality.scr,
-            "tokens": quality.tokens,
-            "turns": quality.turns,
-        }
+        row = _score_row(source, candidate, cfg, alpha, tau)
         if scorer is not None:
             try:
                 row["rm"] = scorer(source, candidate.conversation)
@@ -232,7 +228,7 @@ def cmd_score(args, cfg: PipelineConfig) -> int:
                                candidate.conversation_id,
                                candidate.translator_id, exc)
         rows.append(row)
-    _write_jsonl(rows, args.out)
+    write_jsonl(rows, args.out)
     print(f"scored {len(rows)} candidates")
     return 0
 
@@ -262,9 +258,9 @@ def cmd_rank(args, cfg: PipelineConfig) -> int:
             "conversation_id": conv_id,
             "ranking": [{"translator_id": t, "score": s} for t, s in scored],
         })
-    _write_jsonl(winners, args.winners_out)
+    write_jsonl(winners, args.winners_out)
     if args.ranking_out:
-        _write_jsonl(rankings, args.ranking_out)
+        write_jsonl(rankings, args.ranking_out)
     print(f"ranked candidates for {len(winners)} conversations")
     return 0
 
@@ -290,24 +286,22 @@ def cmd_bt_fit(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _split_stats(rows: list[dict]) -> list:
-    from .metrics import QualityScore
+def _split_report(rows: list[dict], fmt: str, cfg: PipelineConfig) -> tuple[list, str]:
+    """Per-split statistics of scored rows and their rendered report."""
     by_split: dict[str, list[QualityScore]] = {}
     for row in rows:
         if "split" not in row:
             raise CorpusError("scored rows carry no 'split' field; "
                               "re-run score with a source corpus")
-        by_split.setdefault(row["split"], []).append(QualityScore(
-            lr=row["lr"], scr=row["scr"], tokens=row["tokens"], turns=row["turns"]))
-    return [aggregate_split(scores, split) for split, scores in sorted(by_split.items())]
+        by_split.setdefault(row["split"], []).append(_quality(row))
+    splits = [aggregate_split(scores, split) for split, scores in sorted(by_split.items())]
+    meta = ReportMeta(tokenizer_name=cfg.analysis_tokenizer.name, alpha=cfg.alpha,
+                      tau=cfg.tau, unicode_version=uniscript.TABLE_VERSION)
+    return splits, emit_report(splits, fmt=fmt, meta=meta)
 
 
 def cmd_stats(args, cfg: PipelineConfig) -> int:
-    rows = _read_jsonl(args.scored)
-    splits = _split_stats(rows)
-    meta = ReportMeta(tokenizer_name=cfg.analysis_tokenizer.name, alpha=cfg.alpha,
-                      tau=cfg.tau, unicode_version=uniscript.TABLE_VERSION)
-    report = emit_report(splits, fmt=args.format, meta=meta)
+    splits, report = _split_report(_read_jsonl(args.scored), args.format, cfg)
     Path(args.out).write_text(report, encoding="utf-8")
     if splits:
         summary = summarize_config(splits)
@@ -327,14 +321,12 @@ def cmd_filter(args, cfg: PipelineConfig) -> int:
         per_split_overrides=cfg.filter_policy.per_split_overrides,
     )
     conversations = load_corpus(args.corpus, strict=cfg.strict)
-    from .metrics import QualityScore
     scores: dict[str, QualityScore] = {}
     for row in _read_jsonl(args.scored):
         if row["conversation_id"] in scores:
             raise CorpusError(
                 f"multiple scored rows for {row['conversation_id']!r}; rank first")
-        scores[row["conversation_id"]] = QualityScore(
-            lr=row["lr"], scr=row["scr"], tokens=row["tokens"], turns=row["turns"])
+        scores[row["conversation_id"]] = _quality(row)
     items = []
     for conv in conversations:
         if conv.id not in scores:
@@ -344,8 +336,8 @@ def cmd_filter(args, cfg: PipelineConfig) -> int:
     logger.info("filter thresholds: min_lr=%s min_scr=%s reject_cjk=%s",
                 policy.min_lr, policy.min_scr, policy.reject_cjk)
     write_corpus([conv for conv, _ in kept], args.kept_out)
-    _write_jsonl([{"id": conv.id, "reasons": reasons}
-                  for conv, _, reasons in rejected], args.rejected_out)
+    write_jsonl([{"id": conv.id, "reasons": reasons}
+                 for conv, _, reasons in rejected], args.rejected_out)
     print(f"kept {len(kept)}, rejected {len(rejected)} "
           f"(min_lr={policy.min_lr}, min_scr={policy.min_scr}, "
           f"reject_cjk={policy.reject_cjk})")
@@ -383,63 +375,72 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
     translate_system = cfg.translate_system_messages and not args.no_translate_system
 
     conversations = load_corpus(args.input, strict=cfg.strict)
-    all_units, passthrough, translatable = [], [], []
-    for conv in conversations:
-        units = decompose(conv, build_chunk_plan(conv, cfg.chunking_tokenizer, policy))
-        all_units.extend(units)
-        for unit in units:
-            if unit.role == "system" and not translate_system:
-                passthrough.append(unit)
-            else:
-                translatable.append(unit)
-    write_units(all_units, out / "units.jsonl")
-
     queue_dir = out / "queue"
     init_queue(queue_dir)
-    if translatable:
-        enqueue(queue_dir, translatable, backend.id, batch_size=cfg.batch_size)
+
+    # Pass 1, per conversation: write its units, keep its untranslated system
+    # units, and enqueue translatable units in batch_size groups, 16 batches
+    # per call, since each enqueue call costs ~70 us of queue set-up.
+    task_ids: list[str] = []
+    passthrough: dict[str, list[TranslatedUnit]] = {}
+    batch: list = []
+
+    def flush() -> None:
+        tasks = enqueue(queue_dir, batch, backend.id, batch_size=cfg.batch_size)
+        task_ids.extend(task.task_id for task in tasks)
+        batch.clear()
+
+    with _open_out(out / "units.jsonl") as units_fh:
+        for conv in conversations:
+            plan = build_chunk_plan(conv, cfg.chunking_tokenizer, policy)
+            for unit in decompose(conv, plan):
+                units_fh.write(jsonl_line(unit_to_dict(unit)))
+                if unit.role == "system" and not translate_system:
+                    passthrough.setdefault(conv.id, []).append(
+                        identity_translate(unit, "passthrough"))
+                    continue
+                batch.append(unit)
+                if len(batch) >= 16 * cfg.batch_size:
+                    flush()
+    if batch:
+        flush()
+    if task_ids:
         worker_loop(queue_dir, backend, worker_id="pipeline-worker",
                     ttl=cfg.ttl_seconds, max_attempts=cfg.max_attempts,
                     prompt_template=cfg.prompt_template,
                     target_language=cfg.target_language)
-    translated = collect_translated_units(queue_dir)
-    translated.extend(identity_translate(u, "passthrough") for u in passthrough)
-    write_units(translated, out / "translated_units.jsonl")
 
-    rebuilt = _reconstruct_corpus(translated, conversations)
-    write_corpus(rebuilt, out / "translated_corpus.jsonl")
-
-    candidates = [Candidate(conv.id, backend.id, conv) for conv in rebuilt]
-    _write_jsonl([{
-        "conversation_id": c.conversation_id,
-        "translator_id": c.translator_id,
-        "conversation": conversation_to_dict(c.conversation),
-    } for c in candidates], out / "candidates.jsonl")
-
-    sources = {c.id: c for c in conversations}
+    # Pass 2, per conversation: the done/ records, read in enqueue order, hold
+    # each conversation's translated units contiguously.  Rebuild, score and
+    # write it before reading on; keep only the score rows.
+    groups = groupby(read_done_units(queue_dir, task_ids),
+                     key=attrgetter("conversation_id"))
+    group_id, group = next(groups, (None, ()))
     scored_rows = []
-    for candidate in candidates:
-        quality = score_example(sources[candidate.conversation_id], candidate,
-                                alpha=cfg.alpha, tau=cfg.tau,
-                                tokenizer=cfg.analysis_tokenizer)
-        scored_rows.append({
-            "conversation_id": candidate.conversation_id,
-            "translator_id": candidate.translator_id,
-            "split": sources[candidate.conversation_id].split,
-            "lr": quality.lr, "scr": quality.scr,
-            "tokens": quality.tokens, "turns": quality.turns,
-        })
-    _write_jsonl(scored_rows, out / "scored.jsonl")
-    _write_jsonl([{"conversation_id": r["conversation_id"],
-                   "translator_id": r["translator_id"]} for r in scored_rows],
-                 out / "winners.jsonl")
+    with ExitStack() as stack:
+        fh = {name: stack.enter_context(_open_out(out / f"{name}.jsonl")) for name in (
+            "translated_units", "translated_corpus", "candidates", "scored", "winners")}
+        for conv in conversations:
+            units = passthrough.pop(conv.id, [])
+            if group_id == conv.id:
+                units.extend(group)
+                group_id, group = next(groups, (None, ()))
+            units.sort(key=attrgetter("key"))  # units.jsonl order
+            fh["translated_units"].writelines(jsonl_line(unit_to_dict(u)) for u in units)
+            rebuilt = reconstruct(units, conv.split, conv.category)
+            ids = {"conversation_id": conv.id, "translator_id": backend.id}
+            rebuilt_obj = conversation_to_dict(rebuilt)
+            fh["translated_corpus"].write(jsonl_line(rebuilt_obj))
+            fh["candidates"].write(jsonl_line(dict(ids, conversation=rebuilt_obj)))
+            row = _score_row(conv, Candidate(conv.id, backend.id, rebuilt),
+                             cfg, cfg.alpha, cfg.tau)
+            fh["scored"].write(jsonl_line(row))
+            fh["winners"].write(jsonl_line(ids))
+            scored_rows.append(row)
 
-    splits = _split_stats(scored_rows)
-    meta = ReportMeta(tokenizer_name=cfg.analysis_tokenizer.name, alpha=cfg.alpha,
-                      tau=cfg.tau, unicode_version=uniscript.TABLE_VERSION)
     ext = {"markdown": "md", "csv": "csv", "json": "json"}[args.format]
     report_path = out / f"report.{ext}"
-    report_path.write_text(emit_report(splits, fmt=args.format, meta=meta),
+    report_path.write_text(_split_report(scored_rows, args.format, cfg)[1],
                            encoding="utf-8")
     print(f"pipeline complete: {len(conversations)} conversations -> {out}")
     print(f"report: {report_path}")

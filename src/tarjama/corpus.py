@@ -212,10 +212,18 @@ def load_corpus(path: Union[str, Path], strict: bool = True) -> list[Conversatio
         return parse_corpus(fh, strict=strict)
 
 
-def write_corpus(conversations: Iterable[Conversation], path: Union[str, Path]) -> None:
+def jsonl_line(obj: Mapping) -> str:
+    return json.dumps(obj, ensure_ascii=False) + "\n"
+
+
+def write_jsonl(objs: Iterable[Mapping], path: Union[str, Path]) -> None:
+    """Write one compact UTF-8 JSON object per line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for conv in conversations:
-            fh.write(json.dumps(conversation_to_dict(conv), ensure_ascii=False) + "\n")
+        fh.writelines(map(jsonl_line, objs))
+
+
+def write_corpus(conversations: Iterable[Conversation], path: Union[str, Path]) -> None:
+    write_jsonl(map(conversation_to_dict, conversations), path)
 
 
 def split_parts(content: str) -> list[Part]:
@@ -304,16 +312,8 @@ def decompose(conversation: Conversation, chunk_plan: ChunkPlan) -> list[Transla
     return units
 
 
-def single_chunk_plan(conversation: Conversation) -> dict[tuple[int, int], list[str]]:
-    """One chunk per part; handy default for short conversations."""
-    plan: dict[tuple[int, int], list[str]] = {}
-    for msg in conversation.messages:
-        for part_index, part in enumerate(split_parts(msg.content)):
-            plan[(msg.index, part_index)] = [part.text]
-    return plan
-
-
-def reconstruct(units: Sequence[TranslatedUnit], split: str = "") -> Conversation:
+def reconstruct(units: Sequence[TranslatedUnit], split: str = "",
+                category: Optional[str] = None) -> Conversation:
     """Rebuild one conversation from a complete set of translated units.
 
     Insensitive to input order.  Raises IncompleteUnitSetError when
@@ -376,7 +376,8 @@ def reconstruct(units: Sequence[TranslatedUnit], split: str = "") -> Conversatio
             Part(parts[(msg_idx, p)][0], parts[(msg_idx, p)][1]) for p in part_indices
         ])
         messages.append(Message(role=roles.pop(), content=content, index=msg_idx))
-    return Conversation(id=conv_id, split=split, messages=messages)
+    return Conversation(id=conv_id, split=split, messages=messages,
+                        category=category)
 
 
 def group_units_by_conversation(
@@ -436,9 +437,7 @@ def unit_from_dict(obj: Mapping) -> TranslationUnit:
 
 
 def write_units(units: Iterable[TranslationUnit], path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for unit in units:
-            fh.write(json.dumps(unit_to_dict(unit), ensure_ascii=False) + "\n")
+    write_jsonl(map(unit_to_dict, units), path)
 
 
 def read_units(path: Union[str, Path]) -> Iterator[TranslationUnit]:

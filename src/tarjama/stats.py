@@ -93,21 +93,11 @@ def aggregate_split(scores: Sequence[QualityScore], split: str) -> SplitStats:
     )
 
 
-def _weighted_lower_median(pairs: Sequence[tuple[float, int]]) -> float:
-    """Lower median of a multiset given as (value, multiplicity) pairs."""
-    total = sum(w for _, w in pairs)
-    midpoint = (total + 1) // 2
-    seen = 0
-    for value, weight in sorted(pairs):
-        seen += weight
-        if seen >= midpoint:
-            return value
-    raise ValueError("empty multiset")
-
-
-def _weighted_p95(pairs: Sequence[tuple[float, int]]) -> float:
-    total = sum(w for _, w in pairs)
-    rank = math.ceil(0.95 * total)
+def _weighted_order_statistic(pairs: Sequence[tuple[float, int]],
+                              fraction: float) -> float:
+    """The ceil(fraction * n)-th smallest of a multiset of n values given as
+    (value, multiplicity) pairs: 0.5 gives the lower median."""
+    rank = math.ceil(fraction * sum(w for _, w in pairs))
     seen = 0
     for value, weight in sorted(pairs):
         seen += weight
@@ -132,10 +122,11 @@ def summarize_config(splits: Sequence[SplitStats]) -> ConfigSummary:
         total_tokens=total_tokens,
         mean_lr=sum(s.num_examples * s.mean_lr for s in splits) / total_examples,
         mean_scr=sum(s.num_examples * s.mean_scr for s in splits) / total_examples,
-        median_turns=_weighted_lower_median(
-            [(s.mean_turns, s.num_examples) for s in splits]),
+        median_turns=_weighted_order_statistic(
+            [(s.mean_turns, s.num_examples) for s in splits], 0.5),
         mean_tokens_per_example=total_tokens / total_examples,
-        p95_tokens=_weighted_p95([(s.p95_tokens, s.num_examples) for s in splits]),
+        p95_tokens=_weighted_order_statistic(
+            [(s.p95_tokens, s.num_examples) for s in splits], 0.95),
     )
 
 

@@ -6,7 +6,8 @@ uses atomic filesystem operations, so the queue is safe across worker
 processes on a shared filesystem:
 
 * a lease is an exclusively created lock file; expired locks are claimed
-  by renaming them away before re-locking, so takeover is exactly-once;
+  by renaming them away before re-locking, so takeover is exactly-once.
+  A lock whose JSON cannot be read expires ``ttl`` after its mtime;
 * completions publish via ``os.link`` onto the done path, which fails if
   a record already exists, making completion exactly-once per task;
 * task files are written to a temp name and renamed into place.
@@ -210,7 +211,12 @@ def _claim(dirs: dict[str, Path], task_id: str, worker_id: str, ttl: float,
                   acquired_at=now(), ttl=ttl)
     if not _try_lock(lock_path, lease):
         existing = _read_lease(lock_path)
-        if existing is None or not existing.expired(now()):
+        try:  # a torn lease (its writer died before the JSON) ages from mtime
+            expires = (existing.acquired_at + existing.ttl if existing
+                       else lock_path.stat().st_mtime + ttl)
+        except FileNotFoundError:
+            return None
+        if now() <= expires:
             return None
         # Claim the stale lock by renaming it away; exactly one
         # claimant wins the rename, then locking proceeds normally.
@@ -323,28 +329,31 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
     The worker lists pending/ once per pass and tries to claim each
     listed task in directory order, not sorted order; it lists again only
     when the pass is used up, so a drain costs one listing per pass, not
-    one per task.  It returns when a fresh listing is empty and sleeps
-    ``poll_interval`` only after a pass that claimed nothing, while other
-    workers still hold the remaining leases.
+    one per task.  It returns when a fresh listing is empty.  While other
+    workers hold the remaining leases, a pass that claimed nothing is
+    followed by a sleep that starts at ``poll_interval / 64`` and doubles
+    on each further idle pass up to ``poll_interval``; a claim resets it,
+    so a peer that finishes within milliseconds costs milliseconds.
 
     Crash-safe: leases left by killed workers expire and their tasks are
-    retried.  Tasks whose attempt counter exceeds ``max_attempts`` move
-    to failed/ instead of being retried forever."""
+    retried; a torn lease, whose JSON was never written, expires ``ttl``
+    after its lock file's mtime.  Tasks whose attempt counter exceeds
+    ``max_attempts`` move to failed/ instead of being retried forever."""
     processed = 0
     dirs = _dirs(queue_dir)
-    idle = False
+    wait = 0.0  # sleep before the next pass; 0 after a pass that claimed
     while True:
         task_ids = list(_pending_ids(dirs["pending"]))
         if not task_ids:
             return processed
-        if idle:
-            sleep(poll_interval)
-        idle = True
+        if wait:
+            sleep(wait)
+        wait = min(2 * wait, poll_interval) or poll_interval / 64
         for task_id in task_ids:
             task = _claim(dirs, task_id, worker_id, ttl, now)
             if task is None:
                 continue
-            idle = False
+            wait = 0.0
             if task.attempt >= max_attempts:
                 fail_task(queue_dir, task, worker_id,
                           f"exceeded {max_attempts} attempts")

@@ -48,6 +48,14 @@ def random_corpus(rng: random.Random, n: int, think_prob: float = 0.3,
     return conversations
 
 
+def single_chunk_plan(conversation: Conversation) -> dict[tuple[int, int], list[str]]:
+    """One chunk per part."""
+    from tarjama.corpus import split_parts
+    return {(msg.index, part_index): [part.text]
+            for msg in conversation.messages
+            for part_index, part in enumerate(split_parts(msg.content))}
+
+
 def corpus_jsonl(conversations) -> str:
     from tarjama.corpus import conversation_to_dict
     return "".join(json.dumps(conversation_to_dict(c), ensure_ascii=False) + "\n"

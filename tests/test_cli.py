@@ -1,12 +1,15 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from tarjama.cli import main
-from tarjama.corpus import conversation_to_dict, load_corpus
+from tarjama.corpus import conversation_to_dict, load_corpus, read_units
+from tarjama.workqueue import enqueue
 
-from conftest import corpus_jsonl, make_conversation, random_corpus
+from conftest import (ARABIC_WORDS, LATIN_WORDS, corpus_jsonl, make_conversation,
+                      random_corpus)
 
 
 @pytest.fixture
@@ -97,6 +100,116 @@ def test_decompose_enqueue_work_reconstruct_chain(tmp_path, fixture_corpus):
     assert rc == 0
     assert rebuilt.read_bytes() == corpus_path.read_bytes()
 
+
+
+CHUNK_FLAGS = ["--target-tokens", "8", "--window-tokens", "3", "--hard-cap-tokens", "9"]
+LATIN_TO_ARABIC = dict(zip(LATIN_WORDS, ARABIC_WORDS))
+
+
+@pytest.fixture
+def staged_corpus(tmp_path, rng):
+    """Conversations with system prompts (one of them system-only), long
+    parts that chunk into several units, and a mock-table translation of
+    every non-system chunk."""
+    conversations = [make_conversation("sys-only", contents=[
+        ("system", "System note: only a system prompt here.")])]
+    for i, conv in enumerate(random_corpus(rng, 12, think_prob=0.6, max_words=40)):
+        contents = [(m.role, m.content) for m in conv.messages if m.role != "system"]
+        if i % 3:
+            contents.insert(0, ("system", f"System note {i}: answer in full sentences."))
+        conversations.append(make_conversation(conv.id, split=conv.split,
+                                               contents=contents))
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(corpus_jsonl(conversations), encoding="utf-8")
+    units_path = tmp_path / "units.jsonl"
+    assert run(["decompose", "--input", str(corpus_path),
+                "--units-out", str(units_path), *CHUNK_FLAGS], tmp_path)[0] == 0
+    units = [json.loads(line) for line in units_path.read_text().splitlines()]
+    table = {}
+    for unit in units:
+        if unit["role"] != "system":
+            text = unit["source_text"]
+            for latin, arabic in LATIN_TO_ARABIC.items():
+                text = text.replace(latin, arabic)
+            table[unit["source_text"]] = text
+    assert not {u["source_text"] for u in units if u["role"] == "system"} & set(table)
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps(table, ensure_ascii=False), encoding="utf-8")
+    ini = tmp_path / "conf.ini"
+    ini.write_text("[queue]\nbatch_size = 5\n", encoding="utf-8")
+    return corpus_path, units_path, table_path, ini
+
+
+def _pipeline_args(corpus_path, table_path, ini, out):
+    return ["pipeline", "--input", str(corpus_path), "--out", str(out),
+            "--backend", "mock-table", "--table", str(table_path),
+            "--config", str(ini), "--no-translate-system", *CHUNK_FLAGS]
+
+
+def test_pipeline_matches_single_stage_chain(tmp_path, staged_corpus):
+    corpus_path, units_path, table_path, ini = staged_corpus
+    queue = tmp_path / "queue"
+    rebuilt = tmp_path / "rebuilt.jsonl"
+    candidates = tmp_path / "candidates.jsonl"
+    scored = tmp_path / "scored.jsonl"
+    assert run(["enqueue", "--units", str(units_path), "--queue", str(queue),
+                "--translator-id", "mock-table", "--batch-size", "5"], tmp_path)[0] == 0
+    assert run(["work", "--queue", str(queue), "--worker-id", "w0",
+                "--backend", "mock-table", "--table", str(table_path)], tmp_path)[0] == 0
+    assert run(["reconstruct", "--from-queue", str(queue), "--corpus", str(corpus_path),
+                "--out", str(rebuilt)], tmp_path)[0] == 0
+    candidates.write_text("".join(json.dumps({
+        "conversation_id": conv.id, "translator_id": "mock-table",
+        "conversation": conversation_to_dict(conv)}, ensure_ascii=False) + "\n"
+        for conv in load_corpus(rebuilt)), encoding="utf-8")
+    assert run(["score", "--corpus", str(corpus_path), "--candidates", str(candidates),
+                "--out", str(scored)], tmp_path)[0] == 0
+
+    out = tmp_path / "out"
+    assert run(_pipeline_args(corpus_path, table_path, ini, out), tmp_path)[0] == 0
+    assert (out / "units.jsonl").read_bytes() == units_path.read_bytes()
+    assert (out / "translated_corpus.jsonl").read_bytes() == rebuilt.read_bytes()
+    assert (out / "candidates.jsonl").read_bytes() == candidates.read_bytes()
+    assert (out / "scored.jsonl").read_bytes() == scored.read_bytes()
+    assert rebuilt.read_bytes() != corpus_path.read_bytes()  # the table translated
+
+    key = ("conversation_id", "message_index", "part_index", "chunk_index")
+    units = [json.loads(line) for line in units_path.read_text().splitlines()]
+    translated = [json.loads(line) for line in
+                  (out / "translated_units.jsonl").read_text().splitlines()]
+    assert [[u[k] for k in key] for u in translated] == [[u[k] for k in key] for u in units]
+    # The setup exercises what the streaming pass 2 has to get right.
+    assert {u["translator_id"] for u in translated} == {"passthrough", "mock-table"}
+    assert any(u["chunk_count"] > 1 for u in units)
+    records = [json.loads(p.read_text()) for p in (out / "queue" / "done").glob("*.json")]
+    assert any(len({u["conversation_id"] for u in r["units"]}) > 1 for r in records)
+    # Pass 1 enqueues in several calls, yet makes the batches, hence the
+    # task ids, of one enqueue of every translatable unit.
+    translatable = [u for u in read_units(units_path) if u.role != "system"]
+    expected = enqueue(tmp_path / "q1", translatable, "mock-table", batch_size=5)
+    assert len(expected) > 2 * 16
+    assert sorted(p.stem for p in (out / "queue" / "done").iterdir()) == \
+        sorted(t.task_id for t in expected)
+
+
+def test_pipeline_exits_1_naming_a_task_without_done_record(
+        tmp_path, staged_corpus, monkeypatch, capsys):
+    corpus_path, _, table_path, ini = staged_corpus
+    import tarjama.cli as cli
+    real_worker_loop = cli.worker_loop
+    lost = []
+
+    def drain_then_lose_a_record(queue_dir, *args, **kwargs):
+        processed = real_worker_loop(queue_dir, *args, **kwargs)
+        record = sorted((Path(queue_dir) / "done").glob("*.json"))[1]
+        record.unlink()
+        lost.append(record.stem)
+        return processed
+
+    monkeypatch.setattr(cli, "worker_loop", drain_then_lose_a_record)
+    rc, _ = run(_pipeline_args(corpus_path, table_path, ini, tmp_path / "out"), tmp_path)
+    assert rc == 1
+    assert f"task {lost[0]} has no done/ record" in capsys.readouterr().err
 
 
 def test_reconstruct_rejects_done_record_without_translation(tmp_path, capsys):

@@ -12,12 +12,12 @@ from tarjama.corpus import (Candidate, Conversation, CorpusError,
                             UnitConsistencyError,
                             decompose, group_units_by_conversation,
                             identity_translate, join_parts, parse_corpus,
-                            reconstruct, single_chunk_plan, split_parts,
+                            reconstruct, split_parts,
                             unit_from_dict, unit_to_dict,
                             validate_candidate_structure)
 from tarjama.tokenizers import TokenizerSpec
 
-from conftest import corpus_jsonl, make_conversation, random_corpus
+from conftest import corpus_jsonl, make_conversation, random_corpus, single_chunk_plan
 
 
 def test_parse_minimal_line():

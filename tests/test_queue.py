@@ -80,6 +80,19 @@ def test_expired_lease_reacquired_with_attempt_bump(tmp_path):
     assert stored["attempt"] == 1
 
 
+def test_torn_lease_expires_ttl_after_its_mtime(tmp_path):
+    # A worker killed between creating its lock file and writing the
+    # lease JSON leaves an empty lock behind.
+    (task,) = enqueue(tmp_path, make_units(1), "seed", batch_size=1)
+    lock = tmp_path / "leases" / f"{task.task_id}.lock"
+    lock.touch()
+    assert acquire(tmp_path, "w2", ttl=60) is None  # still within ttl
+    taken = acquire(tmp_path, "w2", ttl=1.0, now=lambda: 1e12)
+    assert taken is not None
+    assert taken.task_id == task.task_id and taken.attempt == 1
+    assert json.loads(lock.read_text())["worker_id"] == "w2"
+
+
 def test_complete_writes_done_and_clears(tmp_path):
     clock = FakeClock()
     enqueue(tmp_path, make_units(2), "seed", batch_size=2)
@@ -175,6 +188,33 @@ def test_worker_loop_lists_pending_once_per_pass(tmp_path, monkeypatch):
     assert worker_loop(tmp_path, backend, "w1", ttl=60, poll_interval=0.01) == 200
     # One pass over the first listing, then one empty listing to finish.
     assert 1 <= len(listings) <= 3
+
+
+def test_idle_worker_backs_off_while_a_peer_holds_the_last_lease(tmp_path):
+    enqueue(tmp_path, make_units(2), "seed", batch_size=1)
+    first = acquire(tmp_path, "peer", ttl=600)
+    second = acquire(tmp_path, "peer", ttl=600)
+    sleeps = []
+
+    def sleep(seconds):
+        sleeps.append(seconds)
+        if len(sleeps) == 3:  # the peer gives up its first task
+            (tmp_path / "leases" / f"{first.task_id}.lock").unlink()
+        if len(sleeps) == 12:  # and later finishes the second
+            complete(tmp_path, second, "peer",
+                     {u.key: u.source_text for u in second.units})
+
+    backend = TranslatorBackend(id="seed", kind="mock-identity")
+    poll = 0.2
+    assert worker_loop(tmp_path, backend, "w1", ttl=600, poll_interval=poll,
+                       sleep=sleep) == 1
+    # Doubling from poll/64, reset by the claim, capped at poll_interval.
+    step = poll / 64
+    expected = [step, 2 * step, 4 * step,
+                step, 2 * step, 4 * step, 8 * step, 16 * step, 32 * step,
+                poll, poll, poll]
+    assert sleeps == pytest.approx(expected)
+    assert queue_status(tmp_path)["done"] == 2
 
 
 class CountingEntries:
