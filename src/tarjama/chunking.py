@@ -11,9 +11,12 @@ for boundary candidates whose relative token offset falls inside
 * tier 3: a hard cut exactly at the target.
 
 Within a tier the candidate closest to the target wins; ties go to the
-smaller offset.  Whatever remains once the tail fits under the hard cap
-is emitted as a single final chunk.  Chunk texts always concatenate back
-to the input exactly.
+smaller offset.  Candidates are searched per cut, in the characters of
+that cut's window only, and the whitespace tier only when the sentence
+tier has none.  Whatever remains once the tail fits under the hard cap
+is emitted as a single final chunk; a part of at most ``hard_cap_tokens``
+characters is only counted, since every token covers at least one code
+point.  Chunk texts always concatenate back to the input exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import bisect
 import re
 from dataclasses import dataclass
 
-from .tokenizers import TokenizerSpec, tokenize
+from .tokenizers import TokenizerSpec, count_tokens, tokenize
 
 _SENTENCE_RE = re.compile(r"[.?!؟۔]|\n\n")
 _WHITESPACE_RE = re.compile(r"\s+")
@@ -55,51 +58,42 @@ class Chunk:
     boundary_kind: str
 
 
-def _cut_offsets(pattern: re.Pattern, text: str, ends: list[int]) -> list[int]:
-    """Ascending, distinct cut offsets just after each token that holds the
-    start of a *pattern* match."""
-    return list(dict.fromkeys(bisect.bisect_right(ends, m.start()) + 1
-                              for m in pattern.finditer(text)))
-
-
-def _best_in_window(cands: list[int], lo: int, hi: int, t_star: int) -> int | None:
-    """Closest candidate to t_star within [lo, hi]; ties toward smaller."""
-    left = bisect.bisect_left(cands, lo)
-    right = bisect.bisect_right(cands, hi)
-    best = None
-    for c in cands[left:right]:
-        if best is None or abs(c - t_star) < abs(best - t_star):
-            best = c
-    return best
+def _best_in_window(pattern: re.Pattern, text: str, ends: list[int],
+                    start: int, end: int, t_star: int) -> int | None:
+    """Cut offset closest to t_star (ties toward smaller) just after a
+    token that holds the start of a *pattern* match in text[start:end]."""
+    return min((bisect.bisect_right(ends, m.start()) + 1
+                for m in pattern.finditer(text, start, end)),
+               key=lambda c: (abs(c - t_star), c), default=None)
 
 
 def plan_chunks(text: str, spec: TokenizerSpec, policy: ChunkPolicy) -> list[Chunk]:
+    # A token covers at least one code point, so a part this short fits
+    # one chunk.  Empty parts still get one (empty) chunk so decomposition
+    # and reconstruction stay total.
+    if len(text) <= policy.hard_cap_tokens:
+        return [Chunk(text=text, token_count=count_tokens(text, spec),
+                      boundary_kind=BOUNDARY_END)]
     ends = tokenize(text, spec)
     n = len(ends)
-    if n == 0:
-        # Empty parts still need one (empty) chunk so decomposition and
-        # reconstruction stay total.
-        return [Chunk(text="", token_count=0, boundary_kind=BOUNDARY_END)]
-    if n <= policy.hard_cap_tokens:
-        return [Chunk(text=text, token_count=n, boundary_kind=BOUNDARY_END)]
-
-    sentence = _cut_offsets(_SENTENCE_RE, text, ends)
-    whitespace = _cut_offsets(_WHITESPACE_RE, text, ends)
     chunks: list[Chunk] = []
     cur = pos = 0
     while n - cur > policy.hard_cap_tokens:
         t_star = cur + policy.target_tokens
-        lo = cur + policy.target_tokens - policy.window_tokens
+        lo = t_star - policy.window_tokens
         hi = cur + min(policy.target_tokens + policy.window_tokens,
                        policy.hard_cap_tokens)
-        cut = _best_in_window(sentence, lo, hi, t_star)
-        kind = BOUNDARY_SENTENCE
-        if cut is None:
-            cut = _best_in_window(whitespace, lo, hi, t_star)
-            kind = BOUNDARY_WHITESPACE
-        if cut is None:
-            cut = t_star
-            kind = BOUNDARY_HARD
+        # Characters of tokens lo-1 .. hi-1: a match starting there gives
+        # a cut offset in [lo, hi].  Whitespace runs and "\n\n" never
+        # cross a token boundary, so the window cuts no match short.
+        start = ends[lo - 2] if lo > 1 else 0
+        for kind, pattern in ((BOUNDARY_SENTENCE, _SENTENCE_RE),
+                              (BOUNDARY_WHITESPACE, _WHITESPACE_RE)):
+            cut = _best_in_window(pattern, text, ends, start, ends[hi - 1], t_star)
+            if cut is not None:
+                break
+        else:
+            cut, kind = t_star, BOUNDARY_HARD
         end = ends[cut - 1]
         chunks.append(Chunk(text=text[pos:end], token_count=cut - cur,
                             boundary_kind=kind))

@@ -75,10 +75,12 @@ def _open_out(path):
 def _chunk_policy(args, cfg: PipelineConfig) -> ChunkPolicy:
     base = cfg.chunk_policy
     return ChunkPolicy(
-        target_tokens=args.target_tokens or base.target_tokens,
+        target_tokens=base.target_tokens if args.target_tokens is None
+        else args.target_tokens,
         window_tokens=base.window_tokens if args.window_tokens is None
         else args.window_tokens,
-        hard_cap_tokens=args.hard_cap_tokens or base.hard_cap_tokens,
+        hard_cap_tokens=base.hard_cap_tokens if args.hard_cap_tokens is None
+        else args.hard_cap_tokens,
     )
 
 
@@ -125,7 +127,8 @@ def cmd_decompose(args, cfg: PipelineConfig) -> int:
 def cmd_enqueue(args, cfg: PipelineConfig) -> int:
     units = list(read_units(args.units))
     tasks = enqueue(args.queue, units, args.translator_id,
-                    batch_size=args.batch_size or cfg.batch_size)
+                    batch_size=cfg.batch_size if args.batch_size is None
+                    else args.batch_size)
     print(f"enqueued {len(units)} units as {len(tasks)} tasks in {args.queue}")
     return 0
 
@@ -346,7 +349,8 @@ def cmd_filter(args, cfg: PipelineConfig) -> int:
 
 def cmd_sample(args, cfg: PipelineConfig) -> int:
     ratios = _parse_ratios(args.ratios) if args.ratios else cfg.strata_ratios
-    policy = StrataPolicy(ratios=ratios, total=args.total or cfg.sample_total)
+    policy = StrataPolicy(ratios=ratios, total=cfg.sample_total
+                          if args.total is None else args.total)
     seed = cfg.seed if args.seed is None else args.seed
     conversations = load_corpus(args.corpus, strict=cfg.strict)
     sampled = stratified_sample(conversations, policy, seed=seed,

@@ -111,15 +111,17 @@ def language_ratio(source: str, target: str, alpha: float = DEFAULT_ALPHA) -> fl
 # Fenced code and \(..\)/\[..\] math extend to end of text when
 # unterminated; inline code requires a closing backtick; dollar math
 # requires a closer within 200 characters so currency amounts survive.
+# Each pattern runs only when the text holds one of its literals, which
+# every match of that pattern contains.
 _STRIP_PATTERNS = (
-    re.compile(r"```.*?(?:```|\Z)", re.DOTALL),
-    re.compile(r"`[^`]*`"),
-    re.compile(r"\$\$.{0,200}?\$\$", re.DOTALL),
-    re.compile(r"\$.{0,200}?\$", re.DOTALL),
-    re.compile(r"\\\(.*?(?:\\\)|\Z)", re.DOTALL),
-    re.compile(r"\\\[.*?(?:\\\]|\Z)", re.DOTALL),
-    re.compile(r"(?:[A-Za-z][A-Za-z0-9+.-]*://|www\.)\S+"),
-    re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}"),
+    (("```",), re.compile(r"```.*?(?:```|\Z)", re.DOTALL)),
+    (("`",), re.compile(r"`[^`]*`")),
+    (("$$",), re.compile(r"\$\$.{0,200}?\$\$", re.DOTALL)),
+    (("$",), re.compile(r"\$.{0,200}?\$", re.DOTALL)),
+    (("\\(",), re.compile(r"\\\(.*?(?:\\\)|\Z)", re.DOTALL)),
+    (("\\[",), re.compile(r"\\\[.*?(?:\\\]|\Z)", re.DOTALL)),
+    (("://", "www."), re.compile(r"(?:[A-Za-z][A-Za-z0-9+.-]*://|www\.)\S+")),
+    (("@",), re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")),
 )
 
 
@@ -128,8 +130,9 @@ def strip_whitelisted(text: str) -> str:
     operation is idempotent even when a removal juxtaposes new spans."""
     while True:
         stripped = text
-        for pattern in _STRIP_PATTERNS:
-            stripped = pattern.sub("", stripped)
+        for literals, pattern in _STRIP_PATTERNS:
+            if any(lit in stripped for lit in literals):
+                stripped = pattern.sub("", stripped)
         if stripped == text:
             return stripped
         text = stripped

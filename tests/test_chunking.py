@@ -1,13 +1,16 @@
+import bisect
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tarjama import chunking
 from tarjama.chunking import (_SENTENCE_RE, _WHITESPACE_RE, BOUNDARY_END,
                               BOUNDARY_HARD, BOUNDARY_SENTENCE,
                               BOUNDARY_WHITESPACE, Chunk, ChunkPolicy,
-                              _cut_offsets, plan_chunks)
+                              plan_chunks)
 from tarjama.tokenizers import TokenizerSpec, tokenize
 
 BUILTIN = TokenizerSpec.builtin()
@@ -51,6 +54,58 @@ def reference_plan(text, spec, policy):
         cur = cut
     out.append(Chunk(text[spans[cur][0]:spans[n - 1][1]], n - cur, BOUNDARY_END))
     return out
+
+
+def _cut_offsets(pattern: re.Pattern, text: str, ends: list[int]) -> list[int]:
+    """Ascending, distinct cut offsets just after each token that holds the
+    start of a *pattern* match anywhere in *text*."""
+    return list(dict.fromkeys(bisect.bisect_right(ends, m.start()) + 1
+                              for m in pattern.finditer(text)))
+
+
+def whole_text_plan(text, spec, policy):
+    """The planner that collects every candidate of the whole part up
+    front, before the first cut, and picks each cut from those lists."""
+    ends = tokenize(text, spec)
+    n = len(ends)
+    if n == 0:
+        return [Chunk(text="", token_count=0, boundary_kind=BOUNDARY_END)]
+    if n <= policy.hard_cap_tokens:
+        return [Chunk(text=text, token_count=n, boundary_kind=BOUNDARY_END)]
+
+    def best(cands, lo, hi, t_star):
+        left = bisect.bisect_left(cands, lo)
+        right = bisect.bisect_right(cands, hi)
+        found = None
+        for c in cands[left:right]:
+            if found is None or abs(c - t_star) < abs(found - t_star):
+                found = c
+        return found
+
+    sentence = _cut_offsets(_SENTENCE_RE, text, ends)
+    whitespace = _cut_offsets(_WHITESPACE_RE, text, ends)
+    chunks = []
+    cur = pos = 0
+    while n - cur > policy.hard_cap_tokens:
+        t_star = cur + policy.target_tokens
+        lo = cur + policy.target_tokens - policy.window_tokens
+        hi = cur + min(policy.target_tokens + policy.window_tokens,
+                       policy.hard_cap_tokens)
+        cut = best(sentence, lo, hi, t_star)
+        kind = BOUNDARY_SENTENCE
+        if cut is None:
+            cut = best(whitespace, lo, hi, t_star)
+            kind = BOUNDARY_WHITESPACE
+        if cut is None:
+            cut = t_star
+            kind = BOUNDARY_HARD
+        end = ends[cut - 1]
+        chunks.append(Chunk(text=text[pos:end], token_count=cut - cur,
+                            boundary_kind=kind))
+        cur, pos = cut, end
+    chunks.append(Chunk(text=text[pos:], token_count=n - cur,
+                        boundary_kind=BOUNDARY_END))
+    return chunks
 
 
 def reference_candidate_offsets(text, ends):
@@ -204,3 +259,82 @@ def test_window_never_exceeds_hard_cap():
     chunks = plan_chunks(text, BUILTIN, ChunkPolicy(490, 50, 506))
     assert chunks[0].boundary_kind == BOUNDARY_HARD
     assert chunks[0].token_count == 490
+
+
+# -- window-local candidates and count-only short parts ----------------------
+
+# Pieces dense in sentence marks, paragraph breaks and Unicode whitespace.
+DENSE_PIECES = list(SENT) + ["\n\n", "\n", " ", "\t", "\u00a0", "\u2028",
+                             "\u3000", "\x85", "ab", "ba", "نص", "#", "_", "٣"]
+
+
+@st.composite
+def small_policies(draw):
+    target = draw(st.integers(1, 30))
+    window = draw(st.integers(0, target - 1))
+    hard_cap = draw(st.integers(target, target + 30))
+    return ChunkPolicy(target, window, hard_cap)
+
+
+@given(st.lists(st.sampled_from(DENSE_PIECES) | st.characters(
+    blacklist_categories=("Cs",)), max_size=400).map("".join), small_policies())
+@settings(max_examples=400, deadline=None)
+def test_plan_matches_whole_text_planner(bpe_spec, text, policy):
+    for spec in (BUILTIN, bpe_spec):
+        assert plan_chunks(text, spec, policy) == whole_text_plan(text, spec, policy)
+
+
+def test_count_only_path_boundaries(bpe_spec, monkeypatch):
+    policy = ChunkPolicy(target_tokens=8, window_tokens=3, hard_cap_tokens=10)
+    calls = []
+    monkeypatch.setattr(chunking, "tokenize",
+                        lambda text, spec: calls.append(text) or tokenize(text, spec))
+    for spec in (BUILTIN, bpe_spec):
+        for text, tokenized in (("", False),
+                                ("#" * 10, False),        # 10 chars, 10 tokens
+                                ("ab" * 5 + "a", True)):  # 11 chars, <= 6 tokens
+            calls.clear()
+            chunks = plan_chunks(text, spec, policy)
+            assert chunks == whole_text_plan(text, spec, policy)
+            assert len(chunks) == 1 and chunks[0].boundary_kind == BOUNDARY_END
+            assert calls == ([text] if tokenized else [])
+
+
+class _RecordingPattern:
+    """Stands in for a compiled pattern and records each scanned span."""
+
+    def __init__(self, pattern, spans):
+        self.pattern, self.spans = pattern, spans
+
+    def finditer(self, text, pos=0, endpos=None):
+        endpos = len(text) if endpos is None else min(endpos, len(text))
+        self.spans.append((pos, endpos))
+        return self.pattern.finditer(text, pos, endpos)
+
+
+def test_candidate_scans_stay_inside_cut_windows(rng, monkeypatch):
+    policy = ChunkPolicy(490, 50, 506)
+    # Adjacent word pieces merge, so ask for more pieces than tokens.
+    text = synthetic_text(rng, 40 * policy.hard_cap_tokens)
+    ends = tokenize(text, BUILTIN)
+    assert len(ends) >= 20 * policy.hard_cap_tokens
+    spans = []
+    monkeypatch.setattr(chunking, "_SENTENCE_RE", _RecordingPattern(_SENTENCE_RE, spans))
+    monkeypatch.setattr(chunking, "_WHITESPACE_RE", _RecordingPattern(_WHITESPACE_RE, spans))
+    chunks = plan_chunks(text, BUILTIN, policy)
+    assert len(chunks) >= 20
+
+    windows = set()
+    cur = 0
+    for chunk in chunks[:-1]:
+        lo = cur + policy.target_tokens - policy.window_tokens
+        hi = cur + min(policy.target_tokens + policy.window_tokens,
+                       policy.hard_cap_tokens)
+        windows.add((ends[lo - 2] if lo > 1 else 0, ends[hi - 1]))
+        cur += chunk.token_count
+    assert set(spans) <= windows
+    window_chars = sum(end - start for start, end in windows)
+    scanned = sum(end - start for start, end in spans)
+    # One sentence scan per cut, plus a whitespace scan where it found none.
+    assert window_chars <= scanned <= 2 * window_chars
+    assert scanned < len(text) / 2

@@ -354,6 +354,42 @@ def test_sample_cli_deterministic(tmp_path):
     assert sum(1 for c in sampled if c.category == "math") == 4
 
 
+def test_sample_total_zero_writes_no_rows(tmp_path):
+    conversations = [make_conversation(f"c{i}", category="math") for i in range(5)]
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(corpus_jsonl(conversations), encoding="utf-8")
+    out = tmp_path / "sampled.jsonl"
+    rc, _ = run(["sample", "--corpus", str(corpus_path), "--ratios", "math:1",
+                 "--total", "0", "--seed", "5", "--out", str(out)], tmp_path)
+    assert rc == 0
+    assert load_corpus(out) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--target-tokens", "0"], "target_tokens must be positive"),
+    (["--hard-cap-tokens", "0"], "target_tokens must not exceed hard_cap_tokens"),
+])
+def test_zero_chunk_flags_are_checked_not_defaulted(tmp_path, fixture_corpus,
+                                                    capsys, flags, message):
+    corpus_path, _ = fixture_corpus
+    rc, _ = run(["decompose", "--input", str(corpus_path),
+                 "--units-out", str(tmp_path / "u.jsonl")] + flags, tmp_path)
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+def test_zero_batch_size_is_checked_not_defaulted(tmp_path, fixture_corpus, capsys):
+    corpus_path, _ = fixture_corpus
+    units = tmp_path / "u.jsonl"
+    rc, _ = run(["decompose", "--input", str(corpus_path),
+                 "--units-out", str(units)], tmp_path)
+    assert rc == 0
+    rc, _ = run(["enqueue", "--units", str(units), "--queue", str(tmp_path / "q"),
+                 "--translator-id", "mock", "--batch-size", "0"], tmp_path)
+    assert rc == 1
+    assert "batch_size must be positive" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = main(["queue-status", "--queue", str(tmp_path),
                "--config", str(tmp_path / "absent.ini")])

@@ -3,12 +3,12 @@ import math
 import unicodedata
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tarjama import uniscript
 from tarjama.corpus import Candidate
-from tarjama.metrics import (CLASS_ARABIC, CLASS_ASCII_DIGIT, CLASS_IGNORE,
-                             CLASS_OTHER_LETTER, LrInputs, ScrParams,
+from tarjama.metrics import (_STRIP_PATTERNS, CLASS_ARABIC, CLASS_ASCII_DIGIT,
+                             CLASS_IGNORE, CLASS_OTHER_LETTER, LrInputs, ScrParams,
                              ScriptTally, arabic_script_ratio, classify_char,
                              contains_cjk, language_ratio, lr_score,
                              score_example, script_purity, strip_whitelisted,
@@ -128,6 +128,31 @@ def test_strip_www_url():
 def test_strip_idempotent(text):
     once = strip_whitelisted(text)
     assert strip_whitelisted(once) == once
+
+
+def unguarded_strip(text):
+    """Every pattern on every round, whether or not its literal occurs."""
+    while True:
+        stripped = text
+        for _, pattern in _STRIP_PATTERNS:
+            stripped = pattern.sub("", stripped)
+        if stripped == text:
+            return stripped
+        text = stripped
+
+
+# Fragments dense in the literals that gate the strip patterns.
+STRIP_PIECES = ["`", "```", "$", "$$", "\\(", "\\)", "\\[", "\\]", "://",
+                "www.", "@", "http", "a", "x.co", "b.c", "9", "-", " ", "\n",
+                "نص"]
+
+
+@given(st.lists(st.sampled_from(STRIP_PIECES), max_size=60).map("".join))
+@example("see www.a.b now")
+@example("$$ `$` www.q@x.co \\(\\[")
+@settings(max_examples=500)
+def test_strip_matches_unguarded_passes(text):
+    assert strip_whitelisted(text) == unguarded_strip(text)
 
 
 # -- script classification ---------------------------------------------------
