@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .corpus import Conversation, TranslationUnit, conversation_to_dict
@@ -34,27 +33,34 @@ class BudgetExceededError(BackendError):
     the chunker produced an oversized chunk."""
 
 
-@dataclass
 class TranslatorBackend:
-    id: str
-    kind: str
-    endpoint: Optional[str] = None
-    model: Optional[str] = None
-    temperature: float = DEFAULT_TEMPERATURE
-    max_input_tokens: int = DEFAULT_MAX_INPUT_TOKENS
-    api_key_env: Optional[str] = None
-    table: dict[str, str] = field(default_factory=dict)
-    max_retries: int = 5
-    backoff_base: float = 0.25
-    timeout: float = 120.0
+    __slots__ = ("id", "kind", "endpoint", "model", "temperature", "max_input_tokens",
+                 "api_key_env", "table", "max_retries", "backoff_base", "timeout")
 
-    def __post_init__(self) -> None:
-        if self.kind not in BACKEND_KINDS:
-            raise ValueError(f"unknown backend kind: {self.kind!r}")
-        if self.kind == "http-endpoint" and not self.endpoint:
+    def __init__(self, id: str, kind: str, endpoint: Optional[str] = None,
+                 model: Optional[str] = None,
+                 temperature: float = DEFAULT_TEMPERATURE,
+                 max_input_tokens: int = DEFAULT_MAX_INPUT_TOKENS,
+                 api_key_env: Optional[str] = None,
+                 table: Optional[dict[str, str]] = None, max_retries: int = 5,
+                 backoff_base: float = 0.25, timeout: float = 120.0) -> None:
+        if kind not in BACKEND_KINDS:
+            raise ValueError(f"unknown backend kind: {kind!r}")
+        if kind == "http-endpoint" and not endpoint:
             raise ValueError("http-endpoint backend requires an endpoint URL")
-        if not 0.0 <= self.temperature <= 0.7:
+        if not 0.0 <= temperature <= 0.7:
             raise ValueError("temperature must be within [0.0, 0.7]")
+        self.id = id
+        self.kind = kind
+        self.endpoint = endpoint
+        self.model = model
+        self.temperature = temperature
+        self.max_input_tokens = max_input_tokens
+        self.api_key_env = api_key_env
+        self.table = {} if table is None else table
+        self.max_retries = max_retries
+        self.backoff_base = backoff_base
+        self.timeout = timeout
 
 
 def _post_chat(backend: TranslatorBackend, prompt: str,

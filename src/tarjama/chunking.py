@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .tokenizers import TokenizerSpec, count_tokens, tokenize
 
@@ -36,23 +36,24 @@ BOUNDARY_HARD = "hard"
 BOUNDARY_END = "end-of-text"
 
 
-@dataclass(frozen=True)
 class ChunkPolicy:
-    target_tokens: int = 490
-    window_tokens: int = 50
-    hard_cap_tokens: int = 506  # 512 minus a small prompt reserve
+    __slots__ = ("target_tokens", "window_tokens", "hard_cap_tokens")
 
-    def __post_init__(self) -> None:
-        if self.target_tokens <= 0:
+    def __init__(self, target_tokens: int = 490, window_tokens: int = 50,
+                 hard_cap_tokens: int = 506) -> None:
+        # The default hard cap is 512 minus a small prompt reserve.
+        if target_tokens <= 0:
             raise ValueError("target_tokens must be positive")
-        if self.hard_cap_tokens < self.target_tokens:
+        if hard_cap_tokens < target_tokens:
             raise ValueError("target_tokens must not exceed hard_cap_tokens")
-        if not 0 <= self.window_tokens < self.target_tokens:
+        if not 0 <= window_tokens < target_tokens:
             raise ValueError("window_tokens must be in [0, target_tokens)")
+        self.target_tokens = target_tokens
+        self.window_tokens = window_tokens
+        self.hard_cap_tokens = hard_cap_tokens
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     text: str
     token_count: int
     boundary_kind: str

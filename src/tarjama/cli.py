@@ -8,14 +8,12 @@ errors.  Every run appends a machine-readable line to the run manifest
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
 import sys
 import time
 from contextlib import ExitStack
-from dataclasses import replace
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -99,13 +97,13 @@ def _resolve_backend(args, cfg: PipelineConfig) -> TranslatorBackend:
     bc = cfg.backend
     if getattr(args, "backend", None):
         kind = args.backend
-        bc = replace(bc, kind=kind, id=getattr(args, "translator_id", None) or kind)
+        bc = bc._replace(kind=kind, id=getattr(args, "translator_id", None) or kind)
     if getattr(args, "endpoint", None):
-        bc = replace(bc, kind="http-endpoint", endpoint=args.endpoint)
+        bc = bc._replace(kind="http-endpoint", endpoint=args.endpoint)
     if getattr(args, "model", None):
-        bc = replace(bc, model=args.model)
+        bc = bc._replace(model=args.model)
     if getattr(args, "table", None):
-        bc = replace(bc, kind="mock-table", table_path=args.table)
+        bc = bc._replace(kind="mock-table", table_path=args.table)
     return _backend_from_config(bc)
 
 
@@ -269,6 +267,8 @@ def cmd_rank(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_bt_fit(args, cfg: PipelineConfig) -> int:
+    import csv  # only bt-fit reads and writes CSV
+
     records = []
     with open(args.prefs, encoding="utf-8", newline="") as fh:
         for row in csv.reader(fh):

@@ -3,12 +3,10 @@ by CLI flags.  All randomness flows from the single configured seed."""
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .chunking import ChunkPolicy
 from .metrics import DEFAULT_ALPHA, DEFAULT_TAU
@@ -16,8 +14,7 @@ from .stats import FilterPolicy
 from .tokenizers import ConfigurationError, TokenizerSpec
 
 
-@dataclass
-class BackendConfig:
+class BackendConfig(NamedTuple):
     id: str = "mock-identity"
     kind: str = "mock-identity"
     endpoint: Optional[str] = None
@@ -28,31 +25,61 @@ class BackendConfig:
     table_path: Optional[str] = None
 
 
-@dataclass
 class PipelineConfig:
-    chunking_tokenizer: TokenizerSpec = field(default_factory=TokenizerSpec.builtin)
-    analysis_tokenizer: TokenizerSpec = field(default_factory=TokenizerSpec.builtin)
-    chunk_policy: ChunkPolicy = field(default_factory=ChunkPolicy)
-    alpha: float = DEFAULT_ALPHA
-    tau: float = DEFAULT_TAU
-    backend: BackendConfig = field(default_factory=BackendConfig)
-    ttl_seconds: float = 1800.0
-    max_attempts: int = 3
-    batch_size: int = 8
-    combine_weights: tuple[float, float, float] = (1.0, 1.0, 2.0)
-    filter_policy: FilterPolicy = field(default_factory=FilterPolicy)
-    strata_ratios: dict[str, int] = field(
-        default_factory=lambda: {"code": 1, "science": 1, "math": 2})
-    sample_total: int = 200
-    seed: int = 0
-    strict: bool = True
-    translate_system_messages: bool = True
-    prompt_template: str = "Translate the following text to {target_language}.\n{source}"
-    target_language: str = "Arabic"
-    manifest_path: str = "runs.jsonl"
+    __slots__ = ("chunking_tokenizer", "analysis_tokenizer", "chunk_policy", "alpha",
+                 "tau", "backend", "ttl_seconds", "max_attempts", "batch_size",
+                 "combine_weights", "filter_policy", "strata_ratios", "sample_total",
+                 "seed", "strict", "translate_system_messages", "prompt_template",
+                 "target_language", "manifest_path")
+
+    def __init__(self, chunking_tokenizer: Optional[TokenizerSpec] = None,
+                 analysis_tokenizer: Optional[TokenizerSpec] = None,
+                 chunk_policy: Optional[ChunkPolicy] = None,
+                 alpha: float = DEFAULT_ALPHA, tau: float = DEFAULT_TAU,
+                 backend: BackendConfig = BackendConfig(),
+                 ttl_seconds: float = 1800.0, max_attempts: int = 3,
+                 batch_size: int = 8,
+                 combine_weights: tuple[float, float, float] = (1.0, 1.0, 2.0),
+                 filter_policy: FilterPolicy = FilterPolicy(),
+                 strata_ratios: Optional[dict[str, int]] = None,
+                 sample_total: int = 200, seed: int = 0, strict: bool = True,
+                 translate_system_messages: bool = True,
+                 prompt_template: str = ("Translate the following text to "
+                                         "{target_language}.\n{source}"),
+                 target_language: str = "Arabic",
+                 manifest_path: str = "runs.jsonl") -> None:
+        self.chunking_tokenizer = chunking_tokenizer or TokenizerSpec.builtin()
+        self.analysis_tokenizer = analysis_tokenizer or TokenizerSpec.builtin()
+        self.chunk_policy = chunk_policy or ChunkPolicy()
+        self.alpha = alpha
+        self.tau = tau
+        self.backend = backend
+        self.ttl_seconds = ttl_seconds
+        self.max_attempts = max_attempts
+        self.batch_size = batch_size
+        self.combine_weights = combine_weights
+        self.filter_policy = filter_policy
+        self.strata_ratios = ({"code": 1, "science": 1, "math": 2}
+                              if strata_ratios is None else strata_ratios)
+        self.sample_total = sample_total
+        self.seed = seed
+        self.strict = strict
+        self.translate_system_messages = translate_system_messages
+        self.prompt_template = prompt_template
+        self.target_language = target_language
+        self.manifest_path = manifest_path
 
     def config_hash(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True, default=str)
+        """Hash of every field, nested records as field dicts."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        for name in ("chunking_tokenizer", "analysis_tokenizer", "chunk_policy"):
+            record = fields[name]
+            fields[name] = {f: getattr(record, f) for f in record.__slots__}
+        fields["backend"] = self.backend._asdict()
+        fields["filter_policy"] = dict(
+            self.filter_policy._asdict(),
+            per_split_overrides=dict(self.filter_policy.per_split_overrides))
+        payload = json.dumps(fields, sort_keys=True, default=str)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -90,6 +117,8 @@ def load_config(path: Optional[str] = None) -> PipelineConfig:
         return cfg
     if not Path(path).is_file():
         raise ConfigurationError(f"config file not found: {path}")
+    import configparser  # loaded only when a config file is given
+
     parser = configparser.ConfigParser()
     parser.optionxform = str  # split names in overrides are case-sensitive
     parser.read(path, encoding="utf-8")

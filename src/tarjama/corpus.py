@@ -12,9 +12,8 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 logger = logging.getLogger(__name__)
 
@@ -60,72 +59,101 @@ class StructureMismatchError(CorpusError):
     """A candidate's structure does not match its source conversation."""
 
 
-@dataclass
 class Message:
-    role: str
-    content: str
-    index: int
+    __slots__ = ("role", "content", "index")
 
-    def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role: {self.role!r}")
-        if self.index < 0:
+    def __init__(self, role: str, content: str, index: int) -> None:
+        if role not in ROLES:
+            raise ValueError(f"unknown role: {role!r}")
+        if index < 0:
             raise ValueError("message index must be non-negative")
+        self.role = role
+        self.content = content
+        self.index = index
+
+    def __eq__(self, other):
+        if other.__class__ is not Message:
+            return NotImplemented
+        return (self.role, self.content, self.index) == (other.role, other.content,
+                                                          other.index)
 
 
-@dataclass
 class Conversation:
-    id: str
-    split: str
-    messages: list[Message]
-    category: Optional[str] = None  # stratification label, when present
+    __slots__ = ("id", "split", "messages", "category")
 
-    def __post_init__(self) -> None:
-        if not self.messages:
-            raise ValueError(f"conversation {self.id!r} has no messages")
-        for pos, msg in enumerate(self.messages):
+    def __init__(self, id: str, split: str, messages: list[Message],
+                 category: Optional[str] = None) -> None:
+        if not messages:
+            raise ValueError(f"conversation {id!r} has no messages")
+        for pos, msg in enumerate(messages):
             if msg.index != pos:
                 raise ValueError(
-                    f"conversation {self.id!r}: message index {msg.index} at position {pos}")
+                    f"conversation {id!r}: message index {msg.index} at position {pos}")
+        self.id = id
+        self.split = split
+        self.messages = messages
+        self.category = category  # stratification label, when present
+
+    def __eq__(self, other):
+        if other.__class__ is not Conversation:
+            return NotImplemented
+        return (self.id, self.split, self.messages, self.category) == (
+            other.id, other.split, other.messages, other.category)
 
 
-@dataclass(frozen=True)
-class Part:
+class Part(NamedTuple):
     kind: str
     text: str
 
 
-@dataclass
-class TranslationUnit:
-    conversation_id: str
-    message_index: int
-    part_type: str
-    part_index: int
-    chunk_index: int
-    chunk_count: int
-    role: str
-    source_text: str
+_UNIT_FIELDS = ("conversation_id", "message_index", "part_type", "part_index",
+                "chunk_index", "chunk_count", "role", "source_text")
 
-    def __post_init__(self) -> None:
-        if self.chunk_count <= 0:
+
+class TranslationUnit:
+    __slots__ = _UNIT_FIELDS
+
+    def __init__(self, conversation_id: str, message_index: int, part_type: str,
+                 part_index: int, chunk_index: int, chunk_count: int, role: str,
+                 source_text: str) -> None:
+        if chunk_count <= 0:
             raise ValueError("chunk_count must be positive")
-        if not 0 <= self.chunk_index < self.chunk_count:
+        if not 0 <= chunk_index < chunk_count:
             raise ValueError("chunk_index must be in [0, chunk_count)")
+        self.conversation_id = conversation_id
+        self.message_index = message_index
+        self.part_type = part_type
+        self.part_index = part_index
+        self.chunk_index = chunk_index
+        self.chunk_count = chunk_count
+        self.role = role
+        self.source_text = source_text
 
     @property
     def key(self) -> tuple[str, int, int, int]:
         return (self.conversation_id, self.message_index, self.part_index,
                 self.chunk_index)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return unit_to_dict(self) == unit_to_dict(other)
 
-@dataclass
+
 class TranslatedUnit(TranslationUnit):
-    translated_text: str = ""
-    translator_id: str = ""
+    __slots__ = ("translated_text", "translator_id")
+
+    def __init__(self, conversation_id: str, message_index: int, part_type: str,
+                 part_index: int, chunk_index: int, chunk_count: int, role: str,
+                 source_text: str, translated_text: str = "",
+                 translator_id: str = "") -> None:
+        TranslationUnit.__init__(self, conversation_id, message_index, part_type,
+                                 part_index, chunk_index, chunk_count, role, source_text)
+        self.translated_text = translated_text
+        self.translator_id = translator_id
 
 
-@dataclass
-class Candidate:
+class Candidate(NamedTuple):
     conversation_id: str
     translator_id: str
     conversation: Conversation
@@ -415,9 +443,6 @@ def validate_candidate_structure(source: Conversation, candidate: Candidate) -> 
 
 
 # -- unit file I/O -----------------------------------------------------------
-
-_UNIT_FIELDS = ("conversation_id", "message_index", "part_type", "part_index",
-                "chunk_index", "chunk_count", "role", "source_text")
 
 
 def unit_to_dict(unit: TranslationUnit) -> dict:

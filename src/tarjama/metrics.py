@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import uniscript
 from .corpus import Candidate, Conversation, validate_candidate_structure
@@ -36,40 +35,40 @@ CLASS_IGNORE = "ignore"
 _MARK_CATEGORIES = ("Mn", "Mc", "Me")
 
 
-@dataclass(frozen=True)
 class LrInputs:
-    source_whitespace: int
-    target_whitespace: int
-    source_chars: int
-    target_chars: int
-    alpha: float = DEFAULT_ALPHA
+    __slots__ = ("source_whitespace", "target_whitespace", "source_chars",
+                 "target_chars", "alpha")
 
-    def __post_init__(self) -> None:
-        if min(self.source_whitespace, self.target_whitespace,
-               self.source_chars, self.target_chars) < 0:
+    def __init__(self, source_whitespace: int, target_whitespace: int,
+                 source_chars: int, target_chars: int,
+                 alpha: float = DEFAULT_ALPHA) -> None:
+        if min(source_whitespace, target_whitespace, source_chars, target_chars) < 0:
             raise ValueError("counts must be non-negative")
-        if self.alpha <= 0:
+        if alpha <= 0:
             raise ValueError("alpha must be positive")
+        self.source_whitespace = source_whitespace
+        self.target_whitespace = target_whitespace
+        self.source_chars = source_chars
+        self.target_chars = target_chars
+        self.alpha = alpha
 
 
-@dataclass(frozen=True)
 class ScrParams:
-    tau: float = DEFAULT_TAU
+    __slots__ = ("tau",)
 
-    def __post_init__(self) -> None:
-        if not 0 < self.tau <= 1:
+    def __init__(self, tau: float = DEFAULT_TAU) -> None:
+        if not 0 < tau <= 1:
             raise ValueError("tau must be in (0, 1]")
+        self.tau = tau
 
 
-@dataclass(frozen=True)
-class ScriptTally:
+class ScriptTally(NamedTuple):
     arabic: int
     other_letters: int
     ascii_digits: int
 
 
-@dataclass(frozen=True)
-class QualityScore:
+class QualityScore(NamedTuple):
     lr: float
     scr: float
     tokens: int
@@ -223,11 +222,14 @@ def script_purity(target: str, params: ScrParams = ScrParams()) -> float:
     return min(1.0, arabic_script_ratio(tally) / params.tau)
 
 
-_CJK_RE = re.compile("[" + "".join(f"\\U{lo:08x}-\\U{hi:08x}"
-                                     for lo, hi in uniscript.CJK_RANGES) + "]")
+_CJK_RE: Optional[re.Pattern] = None
 
 
 def contains_cjk(text: str) -> bool:
+    global _CJK_RE
+    if _CJK_RE is None:  # compiled on first use: only the filter needs it
+        _CJK_RE = re.compile("[" + "".join(f"\\U{lo:08x}-\\U{hi:08x}"
+                                             for lo, hi in uniscript.CJK_RANGES) + "]")
     return _CJK_RE.search(text) is not None
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .corpus import Candidate, Conversation, validate_candidate_structure
 from .metrics import DEFAULT_ALPHA, DEFAULT_TAU, score_example
@@ -27,8 +26,7 @@ class FitError(Exception):
     """Bradley-Terry fitting cannot produce finite scores."""
 
 
-@dataclass
-class MetricTable:
+class MetricTable(NamedTuple):
     rows: list[tuple[str, dict[str, float]]]
 
     def column(self, metric: str) -> dict[str, float]:
@@ -95,8 +93,7 @@ def combine_scores(lr: float, scr: float, rm: Optional[float] = None,
     return (w_lr * lr + w_scr * scr + w_rm * rm) / total
 
 
-@dataclass
-class RankedCandidateSet:
+class RankedCandidateSet(NamedTuple):
     conversation_id: str
     ranking: list[tuple[str, float]]  # (translator_id, combined score), best first
 
@@ -142,25 +139,30 @@ def rank_candidates(source: Conversation, candidates: Sequence[Candidate],
 # -- Bradley-Terry -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PreferenceRecord:
-    winner: str
-    loser: str
-    count: int = 1
+    __slots__ = ("winner", "loser", "count")
 
-    def __post_init__(self) -> None:
-        if self.winner == self.loser:
+    def __init__(self, winner: str, loser: str, count: int = 1) -> None:
+        if winner == loser:
             raise ValueError("winner and loser must differ")
-        if self.count <= 0:
+        if count <= 0:
             raise ValueError("count must be positive")
+        self.winner = winner
+        self.loser = loser
+        self.count = count
+
+    def __eq__(self, other):
+        if other.__class__ is not PreferenceRecord:
+            return NotImplemented
+        return (self.winner, self.loser, self.count) == (other.winner, other.loser,
+                                                         other.count)
 
 
-@dataclass
-class BtScores:
+class BtScores(NamedTuple):
     scores: dict[str, float]  # log-strengths, gauge-fixed to sum 0
     converged: bool
     iterations: int
-    loglik_trace: list[float] = field(default_factory=list)
+    loglik_trace: Sequence[float] = ()
 
 
 def bt_prob(s_i: float, s_j: float) -> float:

@@ -6,8 +6,8 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, TypeVar
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 from . import uniscript
 from .corpus import Conversation
@@ -23,8 +23,7 @@ REASON_LOW_SCR = "low_scr"
 REASON_CJK = "cjk"
 
 
-@dataclass(frozen=True)
-class SplitStats:
+class SplitStats(NamedTuple):
     split: str
     num_examples: int
     mean_lr: float
@@ -34,8 +33,7 @@ class SplitStats:
     p95_tokens: float
 
 
-@dataclass(frozen=True)
-class ConfigSummary:
+class ConfigSummary(NamedTuple):
     total_examples: int
     total_tokens: float
     mean_lr: float
@@ -45,29 +43,29 @@ class ConfigSummary:
     p95_tokens: float
 
 
-@dataclass(frozen=True)
-class FilterPolicy:
+class FilterPolicy(NamedTuple):
     min_lr: float = 0.3
     min_scr: float = 0.3
     reject_cjk: bool = True
-    per_split_overrides: dict[str, tuple[float, float]] = field(default_factory=dict)
+    # read-only, so the default can be shared by every instance
+    per_split_overrides: Mapping[str, tuple[float, float]] = MappingProxyType({})
 
     def thresholds(self, split: str) -> tuple[float, float]:
         return self.per_split_overrides.get(split, (self.min_lr, self.min_scr))
 
 
-@dataclass(frozen=True)
 class StrataPolicy:
-    ratios: dict[str, int]
-    total: int
+    __slots__ = ("ratios", "total")
 
-    def __post_init__(self) -> None:
-        if not self.ratios:
+    def __init__(self, ratios: dict[str, int], total: int) -> None:
+        if not ratios:
             raise ValueError("ratios must not be empty")
-        if any(r <= 0 for r in self.ratios.values()):
+        if any(r <= 0 for r in ratios.values()):
             raise ValueError("ratios must be positive")
-        if self.total < 0:
+        if total < 0:
             raise ValueError("total must be non-negative")
+        self.ratios = ratios
+        self.total = total
 
 
 def nearest_rank_p95(values: Sequence[float]) -> float:
@@ -221,8 +219,7 @@ def stratified_sample(examples: Sequence[T], policy: StrataPolicy, seed: int,
 # -- report emission ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReportMeta:
+class ReportMeta(NamedTuple):
     tokenizer_name: str = "builtin-ws"
     alpha: float = 1.25
     tau: float = 0.90

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -38,17 +37,17 @@ _TOKEN_RE = re.compile(r"\s+|[^\W_]+|.", re.DOTALL)
 TOKENIZER_KINDS = ("builtin-regex", "external-vocab")
 
 
-@dataclass(frozen=True)
 class TokenizerSpec:
-    name: str
-    kind: str
-    vocab_path: Optional[str] = None
+    __slots__ = ("name", "kind", "vocab_path")
 
-    def __post_init__(self) -> None:
-        if self.kind not in TOKENIZER_KINDS:
-            raise ConfigurationError(f"unknown tokenizer kind: {self.kind!r}")
-        if self.kind == "external-vocab" and not self.vocab_path:
+    def __init__(self, name: str, kind: str, vocab_path: Optional[str] = None) -> None:
+        if kind not in TOKENIZER_KINDS:
+            raise ConfigurationError(f"unknown tokenizer kind: {kind!r}")
+        if kind == "external-vocab" and not vocab_path:
             raise ConfigurationError("external-vocab tokenizer requires vocab_path")
+        self.name = name
+        self.kind = kind
+        self.vocab_path = vocab_path
 
     @classmethod
     def builtin(cls, name: str = "builtin-ws") -> "TokenizerSpec":
@@ -112,7 +111,6 @@ _ENCODER_CACHE: dict[str, _BpeEncoder] = {}
 
 
 def _encoder_for(spec: TokenizerSpec) -> _BpeEncoder:
-    assert spec.vocab_path is not None
     enc = _ENCODER_CACHE.get(spec.vocab_path)
     if enc is None:
         enc = _BpeEncoder(spec.vocab_path)

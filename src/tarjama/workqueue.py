@@ -27,13 +27,11 @@ import json
 import logging
 import os
 import time
-import uuid
 from contextlib import closing
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .backends import TranslatorBackend, translate_chunk
+from .backends import BackendError, BudgetExceededError, TranslatorBackend, translate_chunk
 from .corpus import TranslationUnit, unit_from_dict, unit_to_dict
 
 logger = logging.getLogger(__name__)
@@ -54,20 +52,22 @@ class ResultIncompleteError(QueueError):
         super().__init__(f"results missing for units: {self.missing}")
 
 
-@dataclass
 class Task:
-    task_id: str
-    translator_id: str
-    attempt: int
-    units: list[TranslationUnit]
+    __slots__ = ("task_id", "translator_id", "attempt", "units")
+
+    def __init__(self, task_id: str, translator_id: str, attempt: int,
+                 units: list[TranslationUnit]) -> None:
+        self.task_id = task_id
+        self.translator_id = translator_id
+        self.attempt = attempt
+        self.units = units
 
     @property
     def unit_refs(self) -> list[UnitKey]:
         return [u.key for u in self.units]
 
 
-@dataclass
-class Lease:
+class Lease(NamedTuple):
     task_id: str
     worker_id: str
     acquired_at: float
@@ -88,14 +88,14 @@ def init_queue(queue_dir: Union[str, Path]) -> None:
 
 
 def _atomic_write_json(path: Path, obj: dict) -> None:
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
     tmp.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
     os.rename(tmp, path)
 
 
 def _exclusive_publish_json(path: Path, obj: dict) -> bool:
     """Atomically create *path* with *obj*; False if it already exists."""
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
     tmp.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
     try:
         os.link(tmp, path)
@@ -175,7 +175,7 @@ def _try_lock(lock_path: Path, lease: Lease) -> bool:
     except FileExistsError:
         return False
     with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        json.dump(lease.__dict__, fh)
+        json.dump(lease._asdict(), fh)
     return True
 
 
@@ -220,7 +220,7 @@ def _claim(dirs: dict[str, Path], task_id: str, worker_id: str, ttl: float,
             return None
         # Claim the stale lock by renaming it away; exactly one
         # claimant wins the rename, then locking proceeds normally.
-        stale = lock_path.with_name(f".{task_id}.stale.{uuid.uuid4().hex}")
+        stale = lock_path.with_name(f".{task_id}.stale.{os.urandom(16).hex()}")
         try:
             os.rename(lock_path, stale)
         except FileNotFoundError:
@@ -290,6 +290,14 @@ def complete(queue_dir: Union[str, Path], task: Task, worker_id: str,
     return published
 
 
+def release_task(queue_dir: Union[str, Path], task: Task) -> None:
+    """Write a leased task back to pending/, attempt counter included, and
+    drop its lease so any worker can claim it again."""
+    dirs = _dirs(queue_dir)
+    _atomic_write_json(dirs["pending"] / f"{task.task_id}.json", _task_to_dict(task))
+    (dirs["leases"] / f"{task.task_id}.lock").unlink(missing_ok=True)
+
+
 def fail_task(queue_dir: Union[str, Path], task: Task, worker_id: str,
               reason: str) -> bool:
     """Move a poison task to failed/ with diagnostics."""
@@ -337,8 +345,11 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
 
     Crash-safe: leases left by killed workers expire and their tasks are
     retried; a torn lease, whose JSON was never written, expires ``ttl``
-    after its lock file's mtime.  Tasks whose attempt counter exceeds
-    ``max_attempts`` move to failed/ instead of being retried forever."""
+    after its lock file's mtime.  A ``BackendError`` (other than
+    ``BudgetExceededError``) counts as an attempt too: the task goes back
+    to pending/ with its attempt counter raised.  Tasks whose attempt
+    counter reaches ``max_attempts`` move to failed/ instead of being
+    retried forever; any other exception fails the task at once."""
     processed = 0
     dirs = _dirs(queue_dir)
     wait = 0.0  # sleep before the next pass; 0 after a pass that claimed
@@ -367,6 +378,14 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
                     for unit in task.units
                 }
             except Exception as exc:
+                if (isinstance(exc, BackendError)
+                        and not isinstance(exc, BudgetExceededError)):
+                    task.attempt += 1
+                    if task.attempt < max_attempts:
+                        release_task(queue_dir, task)
+                        logger.warning("task %s attempt %d failed, retrying: %s",
+                                       task.task_id, task.attempt, exc)
+                        continue
                 fail_task(queue_dir, task, worker_id, f"translation failed: {exc}")
                 logger.error("task %s failed: %s", task.task_id, exc)
                 continue

@@ -24,14 +24,21 @@ def unit(text="hi"):
 
 
 def test_importing_cli_does_not_load_requests():
-    # requests costs most of the start-up time of every tarjama process,
-    # so only HTTP backends load it.
+    # Every tarjama process imports tarjama.cli, so a module it loads for
+    # nothing costs every command its import time: requests (HTTP backends
+    # only), dataclasses with inspect, uuid with platform, csv (bt-fit only)
+    # and configparser (--config only).  Compared with the same
+    # interpreter's modules before the import.
     src = os.path.dirname(os.path.dirname(tarjama.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, tarjama.cli; print(sorted(m for m in sys.modules if m.startswith('requests')))"
+    code = ("import sys; before = set(sys.modules); import tarjama.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "[]"
+    added = result.stdout.split()
+    assert "tarjama.cli" in added
+    unwanted = ("dataclasses", "inspect", "uuid", "csv", "configparser")
+    assert [m for m in added if m in unwanted or m.split(".")[0] == "requests"] == []
 
 
 def test_mock_identity_returns_source():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tarjama.backends import TranslatorBackend
+from tarjama.backends import BackendError, BudgetExceededError, TranslatorBackend
 from tarjama.corpus import TranslationUnit
 from tarjama.workqueue import (ResultIncompleteError, acquire, complete,
                                enqueue, fail_task, init_queue, queue_status,
@@ -170,6 +170,57 @@ def test_worker_loop_sends_poison_to_failed(tmp_path):
     assert processed == 0
     status = queue_status(tmp_path, now=clock)
     assert status["failed"] == 1 and status["pending"] == 0
+
+
+class FailingTable(dict):
+    """Identity lookup for mock-table whose first *failures* calls raise *error*."""
+
+    def __init__(self, failures, error=BackendError):
+        super().__init__()
+        self.failures = failures
+        self.error = error
+        self.calls = 0
+
+    def get(self, key, default=None):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise self.error(f"backend down (call {self.calls})")
+        return key
+
+
+def test_backend_error_retries_the_task_on_its_next_attempt(tmp_path):
+    enqueue(tmp_path, make_units(2), "seed", batch_size=2)
+    table = FailingTable(failures=1)
+    backend = TranslatorBackend(id="seed", kind="mock-table", table=table)
+    assert worker_loop(tmp_path, backend, "w1", ttl=60, max_attempts=3,
+                       poll_interval=0.01) == 1
+    assert queue_status(tmp_path) == {"pending": 0, "leased": 0, "done": 1, "failed": 0}
+    record = json.loads(next((tmp_path / "done").glob("*.json")).read_text())
+    assert record["attempt"] == 1  # counted from 0: the second attempt succeeded
+    assert table.calls == 3  # one failed call, then both units
+
+
+def test_backend_that_always_fails_is_failed_after_max_attempts(tmp_path):
+    enqueue(tmp_path, make_units(1), "seed", batch_size=1)
+    table = FailingTable(failures=100)
+    backend = TranslatorBackend(id="seed", kind="mock-table", table=table)
+    assert worker_loop(tmp_path, backend, "w1", ttl=60, max_attempts=3,
+                       poll_interval=0.01) == 0
+    assert table.calls == 3
+    assert queue_status(tmp_path) == {"pending": 0, "leased": 0, "done": 0, "failed": 1}
+    record = json.loads(next((tmp_path / "failed").glob("*.json")).read_text())
+    assert record["attempt"] == 3
+    assert "call 3" in record["reason"]
+
+
+def test_budget_exceeded_fails_the_task_without_retry(tmp_path):
+    enqueue(tmp_path, make_units(1), "seed", batch_size=1)
+    table = FailingTable(failures=100, error=BudgetExceededError)
+    backend = TranslatorBackend(id="seed", kind="mock-table", table=table)
+    assert worker_loop(tmp_path, backend, "w1", ttl=60, max_attempts=3,
+                       poll_interval=0.01) == 0
+    assert table.calls == 1
+    assert queue_status(tmp_path)["failed"] == 1
 
 
 def test_worker_loop_lists_pending_once_per_pass(tmp_path, monkeypatch):

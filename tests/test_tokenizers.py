@@ -133,3 +133,8 @@ def test_vocab_without_vocab_key_is_config_error(tmp_path):
 def test_unknown_kind_rejected():
     with pytest.raises(ConfigurationError):
         TokenizerSpec(name="x", kind="magic")
+
+
+def test_external_vocab_without_path_rejected():
+    with pytest.raises(ConfigurationError):
+        TokenizerSpec(name="x", kind="external-vocab")
