@@ -35,7 +35,7 @@ from .stats import (FilterPolicy, ReportMeta, StrataPolicy, aggregate_split,
                     apply_filter, emit_report, stratified_sample,
                     summarize_config)
 from .tokenizers import TokenizerSpec
-from .workqueue import enqueue, init_queue, queue_status, worker_loop
+from .workqueue import enqueue, pack_batches, queue_status, worker_loop
 
 logger = logging.getLogger(__name__)
 
@@ -124,9 +124,9 @@ def cmd_decompose(args, cfg: PipelineConfig) -> int:
 
 def cmd_enqueue(args, cfg: PipelineConfig) -> int:
     units = list(read_units(args.units))
-    tasks = enqueue(args.queue, units, args.translator_id,
-                    batch_size=cfg.batch_size if args.batch_size is None
-                    else args.batch_size)
+    batch_size = cfg.batch_size if args.batch_size is None else args.batch_size
+    tasks = enqueue(args.queue, units, args.translator_id, batch_size=batch_size,
+                    char_budget=batch_size * cfg.chunk_policy.hard_cap_tokens)
     print(f"enqueued {len(units)} units as {len(tasks)} tasks in {args.queue}")
     return 0
 
@@ -380,21 +380,14 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
 
     conversations = load_corpus(args.input, strict=cfg.strict)
     queue_dir = out / "queue"
-    init_queue(queue_dir)
 
     # Pass 1, per conversation: write its units, keep its untranslated system
-    # units, and enqueue translatable units in batch_size groups, 16 batches
-    # per call, since each enqueue call costs ~70 us of queue set-up.
-    task_ids: list[str] = []
+    # units, and stream translatable units through pack_batches, enqueueing
+    # each batch as one task as soon as it closes.
     passthrough: dict[str, list[TranslatedUnit]] = {}
-    batch: list = []
+    task_ids: list[str] = []
 
-    def flush() -> None:
-        tasks = enqueue(queue_dir, batch, backend.id, batch_size=cfg.batch_size)
-        task_ids.extend(task.task_id for task in tasks)
-        batch.clear()
-
-    with _open_out(out / "units.jsonl") as units_fh:
+    def translatable(units_fh) -> Iterator:
         for conv in conversations:
             plan = build_chunk_plan(conv, cfg.chunking_tokenizer, policy)
             for unit in decompose(conv, plan):
@@ -403,11 +396,13 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
                     passthrough.setdefault(conv.id, []).append(
                         identity_translate(unit, "passthrough"))
                     continue
-                batch.append(unit)
-                if len(batch) >= 16 * cfg.batch_size:
-                    flush()
-    if batch:
-        flush()
+                yield unit
+
+    with _open_out(out / "units.jsonl") as units_fh:
+        for batch in pack_batches(translatable(units_fh), cfg.batch_size,
+                                  cfg.batch_size * policy.hard_cap_tokens):
+            (task,) = enqueue(queue_dir, batch, backend.id, batch_size=len(batch))
+            task_ids.append(task.task_id)
     if task_ids:
         worker_loop(queue_dir, backend, worker_id="pipeline-worker",
                     ttl=cfg.ttl_seconds, max_attempts=cfg.max_attempts,
@@ -484,7 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--units", required=True)
     p.add_argument("--queue", required=True)
     p.add_argument("--translator-id", required=True)
-    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--batch-size", type=int, default=None,
+                   help="least units per task; a task takes more only while "
+                        "their source text fits in batch-size chunks of the "
+                        "configured hard cap (default: [queue] batch_size)")
     _add_common(p)
     p.set_defaults(handler=cmd_enqueue)
 

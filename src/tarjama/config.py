@@ -109,9 +109,26 @@ def _parse_ratios(value: str) -> dict[str, int]:
     return ratios
 
 
+def _checked(where: str, convert, *args):
+    """``convert(*args)``, with a ``ValueError`` turned into a
+    ``ConfigurationError`` that starts with *where*."""
+    try:
+        return convert(*args)
+    except ValueError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
+
+
+def _get(section, key: str, default, kind: str):
+    """``section.get<kind>(key, default)``; a value it cannot parse is a
+    ``ConfigurationError`` naming the section and the key."""
+    return _checked(f"[{section.name}] {key}", getattr(section, "get" + kind),
+                    key, default)
+
+
 def load_config(path: Optional[str] = None) -> PipelineConfig:
     """Load configuration from an INI file; missing file is an error,
-    missing keys fall back to defaults."""
+    missing keys fall back to defaults, and a value that cannot be parsed
+    or validated is a ConfigurationError naming its section and key."""
     cfg = PipelineConfig()
     if path is None:
         return cfg
@@ -131,16 +148,16 @@ def load_config(path: Optional[str] = None) -> PipelineConfig:
             cfg.analysis_tokenizer = _tokenizer_from_value(section["analysis"])
     if parser.has_section("chunking"):
         section = parser["chunking"]
-        cfg.chunk_policy = ChunkPolicy(
-            target_tokens=section.getint("target_tokens", cfg.chunk_policy.target_tokens),
-            window_tokens=section.getint("window_tokens", cfg.chunk_policy.window_tokens),
-            hard_cap_tokens=section.getint("hard_cap_tokens",
-                                           cfg.chunk_policy.hard_cap_tokens),
-        )
+        base = cfg.chunk_policy
+        cfg.chunk_policy = _checked(
+            "[chunking]", ChunkPolicy,
+            _get(section, "target_tokens", base.target_tokens, "int"),
+            _get(section, "window_tokens", base.window_tokens, "int"),
+            _get(section, "hard_cap_tokens", base.hard_cap_tokens, "int"))
     if parser.has_section("metrics"):
         section = parser["metrics"]
-        cfg.alpha = section.getfloat("alpha", cfg.alpha)
-        cfg.tau = section.getfloat("tau", cfg.tau)
+        cfg.alpha = _get(section, "alpha", cfg.alpha, "float")
+        cfg.tau = _get(section, "tau", cfg.tau, "float")
     if parser.has_section("backend"):
         section = parser["backend"]
         table_path = section.get("table_path", None)
@@ -151,53 +168,53 @@ def load_config(path: Optional[str] = None) -> PipelineConfig:
             kind=section.get("kind", cfg.backend.kind),
             endpoint=section.get("endpoint", None) or None,
             model=section.get("model", None) or None,
-            temperature=section.getfloat("temperature", cfg.backend.temperature),
-            max_input_tokens=section.getint("max_input_tokens",
-                                            cfg.backend.max_input_tokens),
+            temperature=_get(section, "temperature", cfg.backend.temperature, "float"),
+            max_input_tokens=_get(section, "max_input_tokens",
+                                  cfg.backend.max_input_tokens, "int"),
             api_key_env=section.get("api_key_env", None) or None,
             table_path=table_path,
         )
     if parser.has_section("queue"):
         section = parser["queue"]
-        cfg.ttl_seconds = section.getfloat("ttl_seconds", cfg.ttl_seconds)
-        cfg.max_attempts = section.getint("max_attempts", cfg.max_attempts)
-        cfg.batch_size = section.getint("batch_size", cfg.batch_size)
+        cfg.ttl_seconds = _get(section, "ttl_seconds", cfg.ttl_seconds, "float")
+        cfg.max_attempts = _get(section, "max_attempts", cfg.max_attempts, "int")
+        cfg.batch_size = _get(section, "batch_size", cfg.batch_size, "int")
     if parser.has_section("ranking"):
         section = parser["ranking"]
         cfg.combine_weights = (
-            section.getfloat("weight_lr", cfg.combine_weights[0]),
-            section.getfloat("weight_scr", cfg.combine_weights[1]),
-            section.getfloat("weight_rm", cfg.combine_weights[2]),
+            _get(section, "weight_lr", cfg.combine_weights[0], "float"),
+            _get(section, "weight_scr", cfg.combine_weights[1], "float"),
+            _get(section, "weight_rm", cfg.combine_weights[2], "float"),
         )
     if parser.has_section("filter") or parser.has_section("filter.overrides"):
-        section = parser["filter"] if parser.has_section("filter") else {}
+        policy = cfg.filter_policy
+        if parser.has_section("filter"):
+            section = parser["filter"]
+            policy = policy._replace(
+                min_lr=_get(section, "min_lr", policy.min_lr, "float"),
+                min_scr=_get(section, "min_scr", policy.min_scr, "float"),
+                reject_cjk=_get(section, "reject_cjk", policy.reject_cjk, "boolean"))
         overrides: dict[str, tuple[float, float]] = {}
         if parser.has_section("filter.overrides"):
             # one line per split: <split> = <min_lr>,<min_scr>
             for split, value in parser["filter.overrides"].items():
                 lr_s, _, scr_s = value.partition(",")
-                overrides[split] = (float(lr_s), float(scr_s))
-        get_float = (section.getfloat if hasattr(section, "getfloat")
-                     else lambda k, d: d)
-        get_bool = (section.getboolean if hasattr(section, "getboolean")
-                    else lambda k, d: d)
-        cfg.filter_policy = FilterPolicy(
-            min_lr=get_float("min_lr", cfg.filter_policy.min_lr),
-            min_scr=get_float("min_scr", cfg.filter_policy.min_scr),
-            reject_cjk=get_bool("reject_cjk", cfg.filter_policy.reject_cjk),
-            per_split_overrides=overrides,
-        )
+                overrides[split] = _checked(f"[filter.overrides] {split}",
+                                            lambda: (float(lr_s), float(scr_s)))
+        cfg.filter_policy = policy._replace(per_split_overrides=overrides)
     if parser.has_section("sample"):
         section = parser["sample"]
         if "ratios" in section:
-            cfg.strata_ratios = _parse_ratios(section["ratios"])
-        cfg.sample_total = section.getint("total", cfg.sample_total)
+            cfg.strata_ratios = _checked("[sample] ratios", _parse_ratios,
+                                         section["ratios"])
+        cfg.sample_total = _get(section, "total", cfg.sample_total, "int")
     if parser.has_section("run"):
         section = parser["run"]
-        cfg.seed = section.getint("seed", cfg.seed)
-        cfg.strict = section.getboolean("strict", cfg.strict)
-        cfg.translate_system_messages = section.getboolean(
-            "translate_system_messages", cfg.translate_system_messages)
+        cfg.seed = _get(section, "seed", cfg.seed, "int")
+        cfg.strict = _get(section, "strict", cfg.strict, "boolean")
+        cfg.translate_system_messages = _get(
+            section, "translate_system_messages", cfg.translate_system_messages,
+            "boolean")
         cfg.prompt_template = section.get("prompt_template", cfg.prompt_template)
         cfg.target_language = section.get("target_language", cfg.target_language)
         cfg.manifest_path = section.get("manifest", cfg.manifest_path)

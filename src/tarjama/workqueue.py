@@ -16,8 +16,10 @@ A draining worker lists pending/ once per pass and claims the listed
 tasks in directory order, not sorted order, so a drain's cost per task
 does not grow with the queue's depth.
 
-Task ids are content hashes of the batch, so re-enqueueing the same
-units is a no-op.
+A task holds at least ``batch_size`` units, and more only while their
+source text fits in the caller's character budget (``pack_batches``).
+Task ids are content hashes of the batch, so re-enqueueing the same units
+is a no-op.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import os
 import time
 from contextlib import closing
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Optional,
+                    Sequence, Union)
 
 from .backends import BackendError, BudgetExceededError, TranslatorBackend, translate_chunk
 from .corpus import TranslationUnit, unit_from_dict, unit_to_dict
@@ -131,20 +134,46 @@ def _batch_task_id(units: Sequence[TranslationUnit], translator_id: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
 
+def pack_batches(units: Iterable[TranslationUnit], batch_size: int,
+                 char_budget: int = 0) -> Iterator[list[TranslationUnit]]:
+    """Group *units*, in order, into the batches of queue tasks.
+
+    A batch closes once it holds at least *batch_size* units and the next
+    unit would push its source text past *char_budget* characters; with a
+    budget of 0 every batch but the last holds exactly *batch_size* units.
+    Every token covers at least one code point, so with a budget of
+    ``batch_size * hard_cap_tokens`` a task carries at most that many
+    source tokens, as *batch_size* full chunks do, while short units pack
+    many to a task."""
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
+    batch: list[TranslationUnit] = []
+    chars = 0
+    for unit in units:
+        size = len(unit.source_text)
+        if len(batch) >= batch_size and chars + size > char_budget:
+            yield batch
+            batch, chars = [], 0
+        batch.append(unit)
+        chars += size
+    if batch:
+        yield batch
+
+
 def enqueue(queue_dir: Union[str, Path], units: Sequence[TranslationUnit],
-            translator_id: str, batch_size: int = 8) -> list[Task]:
-    """Batch units into tasks and write them to pending/ atomically.
+            translator_id: str, batch_size: int = 8,
+            char_budget: int = 0) -> list[Task]:
+    """Batch units into tasks with ``pack_batches`` and write them to
+    pending/ atomically.
 
     Idempotent: batches already pending or done are not re-added."""
     if not units:
         raise ValueError("cannot enqueue zero units")
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
+    batches = list(pack_batches(units, batch_size, char_budget))
     init_queue(queue_dir)
     dirs = _dirs(queue_dir)
     tasks: list[Task] = []
-    for start in range(0, len(units), batch_size):
-        batch = list(units[start:start + batch_size])
+    for batch in batches:
         task = Task(
             task_id=_batch_task_id(batch, translator_id),
             translator_id=translator_id,

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from tarjama.corpus import Conversation, Message
+from tarjama.tokenizers import TokenizerSpec
 
 ARABIC_WORDS = ["مرحبا", "بالعالم", "كتاب", "جميل", "ترجمة", "نص", "سؤال",
                 "جواب", "فكرة", "مثال"]
@@ -60,6 +61,16 @@ def corpus_jsonl(conversations) -> str:
     from tarjama.corpus import conversation_to_dict
     return "".join(json.dumps(conversation_to_dict(c), ensure_ascii=False) + "\n"
                    for c in conversations)
+
+
+@pytest.fixture(scope="module")
+def bpe_spec(tmp_path_factory):
+    """A tiny external BPE tokenizer: "ab" and "نص" merge into one token."""
+    definition = {"vocab": {"a": 0, "b": 1, "ab": 2, "نص": 3},
+                  "merges": [["a", "b"], ["ن", "ص"]]}
+    path = tmp_path_factory.mktemp("vocab") / "tiny.json"
+    path.write_text(json.dumps(definition), encoding="utf-8")
+    return TokenizerSpec.external(str(path))
 
 
 @pytest.fixture

@@ -1,5 +1,4 @@
 import bisect
-import json
 import random
 import re
 
@@ -119,15 +118,6 @@ def reference_candidate_offsets(text, ends):
         if any(ch.isspace() for ch in tok):
             whitespace.append(i + 1)
     return sentence, whitespace
-
-
-@pytest.fixture(scope="module")
-def bpe_spec(tmp_path_factory):
-    definition = {"vocab": {"a": 0, "b": 1, "ab": 2, "نص": 3},
-                  "merges": [["a", "b"], ["ن", "ص"]]}
-    path = tmp_path_factory.mktemp("vocab") / "tiny.json"
-    path.write_text(json.dumps(definition), encoding="utf-8")
-    return TokenizerSpec.external(str(path))
 
 
 CHUNK_CHARS = list("ab نص.?!؟۔\n\n\t#_٣") + ["\u00a0", "\u2028", "\u3000",

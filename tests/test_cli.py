@@ -32,6 +32,9 @@ def test_pipeline_identity_backend_roundtrips_corpus(tmp_path, fixture_corpus):
                         "--out", str(out), "--backend", "mock-identity"], tmp_path)
     assert rc == 0
     assert (out / "translated_corpus.jsonl").read_bytes() == corpus_path.read_bytes()
+    # Short units pack more than batch_size (8) to a task and still rebuild.
+    records = [json.loads(p.read_text()) for p in (out / "queue" / "done").glob("*.json")]
+    assert max(len(r["units"]) for r in records) > 8
     report = (out / "report.md").read_text(encoding="utf-8")
     assert "| Split | Num Examples | Mean LR |" in report
     # manifest recorded the run
@@ -183,10 +186,12 @@ def test_pipeline_matches_single_stage_chain(tmp_path, staged_corpus):
     assert any(u["chunk_count"] > 1 for u in units)
     records = [json.loads(p.read_text()) for p in (out / "queue" / "done").glob("*.json")]
     assert any(len({u["conversation_id"] for u in r["units"]}) > 1 for r in records)
-    # Pass 1 enqueues in several calls, yet makes the batches, hence the
-    # task ids, of one enqueue of every translatable unit.
+    # Pass 1 enqueues each batch as it closes, yet makes the batches, hence
+    # the task ids, of one enqueue of every translatable unit under the
+    # budget of batch_size full chunks.
     translatable = [u for u in read_units(units_path) if u.role != "system"]
-    expected = enqueue(tmp_path / "q1", translatable, "mock-table", batch_size=5)
+    expected = enqueue(tmp_path / "q1", translatable, "mock-table", batch_size=5,
+                       char_budget=5 * 9)
     assert len(expected) > 2 * 16
     assert sorted(p.stem for p in (out / "queue" / "done").iterdir()) == \
         sorted(t.task_id for t in expected)
@@ -395,6 +400,14 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
                "--config", str(tmp_path / "absent.ini")])
     assert rc == 2
     assert "absent.ini" in capsys.readouterr().err
+
+
+def test_unparseable_config_value_exits_2(tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[metrics]\nalpha = 1.25   ; comment\n", encoding="utf-8")
+    rc = main(["queue-status", "--queue", str(tmp_path), "--config", str(ini)])
+    assert rc == 2
+    assert "config error: [metrics] alpha:" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_1(capsys):

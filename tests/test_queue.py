@@ -5,18 +5,25 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from test_chunking import DENSE_PIECES, small_policies
 
 from tarjama.backends import BackendError, BudgetExceededError, TranslatorBackend
-from tarjama.corpus import TranslationUnit
+from tarjama.chunking import plan_chunks
+from tarjama.cli import main
+from tarjama.corpus import TranslationUnit, write_units
+from tarjama.tokenizers import TokenizerSpec, count_tokens
 from tarjama.workqueue import (ResultIncompleteError, acquire, complete,
-                               enqueue, fail_task, init_queue, queue_status,
-                               worker_loop)
+                               enqueue, fail_task, init_queue, pack_batches,
+                               queue_status, worker_loop)
 
 
-def make_units(n, conv="c"):
+def make_units(n, conv="c", texts=None):
+    texts = texts or [f"text {i}" for i in range(n)]
     return [TranslationUnit(conversation_id=conv, message_index=i, part_type="visible",
                             part_index=0, chunk_index=0, chunk_count=1,
-                            role="user", source_text=f"text {i}")
+                            role="user", source_text=texts[i])
             for i in range(n)]
 
 
@@ -44,6 +51,31 @@ def test_enqueue_idempotent(tmp_path):
     again = enqueue(tmp_path, units, "seed", batch_size=4)
     assert [t.task_id for t in first] == [t.task_id for t in again]
     assert queue_status(tmp_path)["pending"] == 3
+
+
+@given(st.lists(st.lists(st.sampled_from(DENSE_PIECES) | st.characters(
+    blacklist_categories=("Cs",)), max_size=60).map("".join), max_size=40),
+    st.integers(1, 6), small_policies())
+@settings(max_examples=300, deadline=None)
+def test_pack_batches_bounds_each_task(bpe_spec, parts, batch_size, policy):
+    budget = batch_size * policy.hard_cap_tokens
+    for spec in (TokenizerSpec.builtin(), bpe_spec):
+        texts = [c.text for part in parts for c in plan_chunks(part, spec, policy)]
+        units = make_units(len(texts), texts=texts)
+        batches = list(pack_batches(units, batch_size, budget))
+        assert [u for batch in batches for u in batch] == units  # in order
+        assert all(batch for batch in batches)
+        assert all(len(batch) >= batch_size for batch in batches[:-1])
+        for batch in batches:
+            chars = sum(len(u.source_text) for u in batch)
+            assert len(batch) <= batch_size or chars <= budget
+            assert sum(count_tokens(u.source_text, spec) for u in batch) <= budget
+
+
+def test_pack_batches_without_budget_counts_units():
+    units = make_units(10, texts=["x" * 500] * 5 + [""] * 5)
+    assert [len(b) for b in pack_batches(units, 4)] == [4, 4, 2]
+    assert [len(b) for b in pack_batches(units, 4, char_budget=10_000)] == [10]
 
 
 def test_enqueue_rejects_empty(tmp_path):
@@ -239,6 +271,41 @@ def test_worker_loop_lists_pending_once_per_pass(tmp_path, monkeypatch):
     assert worker_loop(tmp_path, backend, "w1", ttl=60, poll_interval=0.01) == 200
     # One pass over the first listing, then one empty listing to finish.
     assert 1 <= len(listings) <= 3
+
+
+def test_short_units_pack_into_few_task_records(tmp_path, monkeypatch, rng):
+    texts = ["".join(rng.choice("abc ") for _ in range(rng.randint(40, 60)))
+             for _ in range(900)]
+    units_path = tmp_path / "units.jsonl"
+    write_units(make_units(900, texts=texts), units_path)
+    queue = tmp_path / "q"
+    created = []
+    real_rename, real_link = os.rename, os.link
+
+    def rename(src, dst):  # a pending/ record is a temp file renamed in place
+        created.append(Path(dst).parent.name)
+        return real_rename(src, dst)
+
+    def link(src, dst):  # a done/ record is a temp file linked in place
+        created.append(Path(dst).parent.name)
+        return real_link(src, dst)
+
+    monkeypatch.setattr(os, "rename", rename)
+    monkeypatch.setattr(os, "link", link)
+    manifest = str(tmp_path / "runs.jsonl")
+    assert main(["enqueue", "--units", str(units_path), "--queue", str(queue),
+                 "--translator-id", "seed", "--manifest", manifest]) == 0
+    assert main(["work", "--queue", str(queue), "--worker-id", "w1",
+                 "--manifest", manifest]) == 0
+    status = queue_status(queue)
+    assert status["pending"] == 0 and status["failed"] == 0
+    # Each closed task holds over budget - 60 characters at the default
+    # batch_size 8 and hard cap 506; 8 units a task would be 113 tasks.
+    tasks = status["done"]
+    assert tasks <= sum(map(len, texts)) // (8 * 506 - 60) + 1
+    assert sorted(created) == ["done"] * tasks + ["pending"] * tasks
+    records = [json.loads(p.read_text()) for p in (queue / "done").glob("*.json")]
+    assert sorted(u["source_text"] for r in records for u in r["units"]) == sorted(texts)
 
 
 def test_idle_worker_backs_off_while_a_peer_holds_the_last_lease(tmp_path):
