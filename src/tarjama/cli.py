@@ -29,8 +29,9 @@ from .corpus import (Candidate, Conversation, CorpusError, TranslatedUnit,
                      jsonl_line, load_corpus, read_units, reconstruct, split_parts,
                      unit_from_dict, unit_to_dict, write_corpus, write_jsonl,
                      write_units)
-from .metrics import QualityScore, score_example
-from .ranking import FitError, PreferenceRecord, bt_fit, combine_scores
+from .metrics import QualityScore
+from .ranking import (FitError, PreferenceRecord, bt_fit, rank_rows, row_field,
+                      row_quality, score_row)
 from .stats import (FilterPolicy, ReportMeta, StrataPolicy, aggregate_split,
                     apply_filter, emit_report, stratified_sample,
                     summarize_config)
@@ -194,21 +195,6 @@ def _load_candidates(path: str) -> list[Candidate]:
             for row in _read_jsonl(path)]
 
 
-def _score_row(source: Conversation, candidate: Candidate,
-               cfg: PipelineConfig, alpha: float, tau: float) -> dict:
-    """The candidate's ids, the source's split and the QualityScore fields."""
-    quality = score_example(source, candidate, alpha=alpha, tau=tau,
-                            tokenizer=cfg.analysis_tokenizer)
-    return {"conversation_id": candidate.conversation_id,
-            "translator_id": candidate.translator_id, "split": source.split,
-            "lr": quality.lr, "scr": quality.scr, "tokens": quality.tokens,
-            "turns": quality.turns}
-
-
-def _quality(row: dict) -> QualityScore:
-    return QualityScore(row["lr"], row["scr"], row["tokens"], row["turns"])
-
-
 def cmd_score(args, cfg: PipelineConfig) -> int:
     alpha = args.alpha if args.alpha is not None else cfg.alpha
     tau = args.tau if args.tau is not None else cfg.tau
@@ -220,15 +206,8 @@ def cmd_score(args, cfg: PipelineConfig) -> int:
         if source is None:
             raise CorpusError(
                 f"candidate references unknown conversation {candidate.conversation_id!r}")
-        row = _score_row(source, candidate, cfg, alpha, tau)
-        if scorer is not None:
-            try:
-                row["rm"] = scorer(source, candidate.conversation)
-            except Exception as exc:
-                logger.warning("reward scorer failed for %s/%s: %s",
-                               candidate.conversation_id,
-                               candidate.translator_id, exc)
-        rows.append(row)
+        rows.append(score_row(source, candidate, alpha, tau,
+                              cfg.analysis_tokenizer, scorer))
     write_jsonl(rows, args.out)
     print(f"scored {len(rows)} candidates")
     return 0
@@ -247,13 +226,10 @@ def cmd_rank(args, cfg: PipelineConfig) -> int:
     weights = _parse_weights(args.weights, cfg)
     by_conv: dict[str, list[dict]] = {}
     for row in _read_jsonl(args.scored):
-        by_conv.setdefault(row["conversation_id"], []).append(row)
+        by_conv.setdefault(row_field(row, "conversation_id"), []).append(row)
     winners, rankings = [], []
     for conv_id, rows in by_conv.items():
-        scored = [(row["translator_id"],
-                   combine_scores(row["lr"], row["scr"], row.get("rm"), weights))
-                  for row in rows]
-        scored.sort(key=lambda item: (-item[1], item[0]))
+        scored = rank_rows(rows, weights)
         winners.append({"conversation_id": conv_id, "translator_id": scored[0][0]})
         rankings.append({
             "conversation_id": conv_id,
@@ -271,9 +247,12 @@ def cmd_bt_fit(args, cfg: PipelineConfig) -> int:
 
     records = []
     with open(args.prefs, encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].strip().lower() == "winner":
                 continue
+            if len(row) < 2:
+                raise ValueError(f"{args.prefs} line {reader.line_num}: want winner,loser")
             count = int(row[2]) if len(row) > 2 and row[2].strip() else 1
             records.append(PreferenceRecord(row[0].strip(), row[1].strip(), count))
     result = bt_fit(records, epsilon=args.epsilon, tol=args.tol,
@@ -293,10 +272,7 @@ def _split_report(rows: list[dict], fmt: str, cfg: PipelineConfig) -> tuple[list
     """Per-split statistics of scored rows and their rendered report."""
     by_split: dict[str, list[QualityScore]] = {}
     for row in rows:
-        if "split" not in row:
-            raise CorpusError("scored rows carry no 'split' field; "
-                              "re-run score with a source corpus")
-        by_split.setdefault(row["split"], []).append(_quality(row))
+        by_split.setdefault(row_field(row, "split"), []).append(row_quality(row))
     splits = [aggregate_split(scores, split) for split, scores in sorted(by_split.items())]
     meta = ReportMeta(tokenizer_name=cfg.analysis_tokenizer.name, alpha=cfg.alpha,
                       tau=cfg.tau, unicode_version=uniscript.TABLE_VERSION)
@@ -326,10 +302,10 @@ def cmd_filter(args, cfg: PipelineConfig) -> int:
     conversations = load_corpus(args.corpus, strict=cfg.strict)
     scores: dict[str, QualityScore] = {}
     for row in _read_jsonl(args.scored):
-        if row["conversation_id"] in scores:
-            raise CorpusError(
-                f"multiple scored rows for {row['conversation_id']!r}; rank first")
-        scores[row["conversation_id"]] = _quality(row)
+        conv_id = row_field(row, "conversation_id")
+        if conv_id in scores:
+            raise CorpusError(f"multiple scored rows for {conv_id!r}; rank first")
+        scores[conv_id] = row_quality(row)
     items = []
     for conv in conversations:
         if conv.id not in scores:
@@ -431,10 +407,11 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
             rebuilt_obj = conversation_to_dict(rebuilt)
             fh["translated_corpus"].write(jsonl_line(rebuilt_obj))
             fh["candidates"].write(jsonl_line(dict(ids, conversation=rebuilt_obj)))
-            row = _score_row(conv, Candidate(conv.id, backend.id, rebuilt),
-                             cfg, cfg.alpha, cfg.tau)
+            row = score_row(conv, Candidate(conv.id, backend.id, rebuilt),
+                            cfg.alpha, cfg.tau, cfg.analysis_tokenizer)
             fh["scored"].write(jsonl_line(row))
-            fh["winners"].write(jsonl_line(ids))
+            ((winner, _),) = rank_rows([row], cfg.combine_weights)
+            fh["winners"].write(jsonl_line(dict(ids, translator_id=winner)))
             scored_rows.append(row)
 
     ext = {"markdown": "md", "csv": "csv", "json": "json"}[args.format]

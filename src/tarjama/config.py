@@ -126,9 +126,9 @@ def _get(section, key: str, default, kind: str):
 
 
 def load_config(path: Optional[str] = None) -> PipelineConfig:
-    """Load configuration from an INI file; missing file is an error,
-    missing keys fall back to defaults, and a value that cannot be parsed
-    or validated is a ConfigurationError naming its section and key."""
+    """Load configuration from an INI file; missing file is an error and
+    missing keys fall back to defaults.  A file that ConfigParser rejects, or
+    a value it cannot parse or validate, is a ConfigurationError."""
     cfg = PipelineConfig()
     if path is None:
         return cfg
@@ -138,7 +138,13 @@ def load_config(path: Optional[str] = None) -> PipelineConfig:
 
     parser = configparser.ConfigParser()
     parser.optionxform = str  # split names in overrides are case-sensitive
-    parser.read(path, encoding="utf-8")
+    try:
+        parser.read(path, encoding="utf-8")
+        for name in parser.sections():
+            parser.items(name)  # interpolates every value here, not where it is read
+    except configparser.Error as exc:
+        where = f"[{exc.section}] {exc.option}" if hasattr(exc, "option") else path
+        raise ConfigurationError(f"{where}: {exc}") from None
 
     if parser.has_section("tokenizers"):
         section = parser["tokenizers"]

@@ -1,5 +1,6 @@
 """Candidate ranking: fractional ranks over metric tables, weighted
-score combination, and Bradley-Terry preference fitting.
+score combination, the score-row format with its one ranking rule, and
+Bradley-Terry preference fitting.
 
 The Bradley-Terry model puts P(i beats j) = exp(s_i) / (exp(s_i) +
 exp(s_j)).  Fitting uses minorization-maximization updates, whose
@@ -13,8 +14,8 @@ import logging
 import math
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .corpus import Candidate, Conversation, validate_candidate_structure
-from .metrics import DEFAULT_ALPHA, DEFAULT_TAU, score_example
+from .corpus import Candidate, Conversation, CorpusError
+from .metrics import DEFAULT_ALPHA, DEFAULT_TAU, QualityScore, score_example
 from .tokenizers import TokenizerSpec
 
 logger = logging.getLogger(__name__)
@@ -93,47 +94,61 @@ def combine_scores(lr: float, scr: float, rm: Optional[float] = None,
     return (w_lr * lr + w_scr * scr + w_rm * rm) / total
 
 
-class RankedCandidateSet(NamedTuple):
-    conversation_id: str
-    ranking: list[tuple[str, float]]  # (translator_id, combined score), best first
-
-    @property
-    def winner(self) -> str:
-        return self.ranking[0][0]
-
-
 RewardScorer = Callable[[Conversation, Conversation], float]
+
+
+def score_row(source: Conversation, candidate: Candidate, alpha: float, tau: float,
+              tokenizer: Optional[TokenizerSpec],
+              scorer: Optional[RewardScorer] = None) -> dict:
+    """The candidate's ids, the source's split, the QualityScore fields and
+    *scorer*'s ``rm``, left out with a logged warning if the scorer fails."""
+    row = {"conversation_id": candidate.conversation_id,
+           "translator_id": candidate.translator_id, "split": source.split,
+           **score_example(source, candidate, alpha, tau, tokenizer)._asdict()}
+    if scorer is not None:
+        try:
+            row["rm"] = scorer(source, candidate.conversation)
+        except Exception as exc:
+            logger.warning("reward scorer failed for %s/%s: %s",
+                           candidate.conversation_id, candidate.translator_id, exc)
+    return row
+
+
+def row_field(row: dict, name: str):
+    """``row[name]``; CorpusError if the score row has no such field."""
+    if name not in row:
+        raise CorpusError(f"scored row has no {name!r} field: {row}")
+    return row[name]
+
+
+def row_quality(row: dict) -> QualityScore:
+    """The QualityScore of a score row; CorpusError names a missing field."""
+    return QualityScore(*[row_field(row, name) for name in QualityScore._fields])
+
+
+def rank_rows(rows: Iterable[dict],
+              weights: tuple[float, float, float]) -> list[tuple[str, float]]:
+    """``(translator_id, combined score)`` of one conversation's score rows,
+    best first; ties break toward the smaller translator id."""
+    ranking = []
+    for row in rows:
+        quality = row_quality(row)
+        ranking.append((row_field(row, "translator_id"),
+                        combine_scores(quality.lr, quality.scr, row.get("rm"), weights)))
+    ranking.sort(key=lambda item: (-item[1], item[0]))
+    return ranking
 
 
 def rank_candidates(source: Conversation, candidates: Sequence[Candidate],
                     scorer: Optional[RewardScorer] = None,
                     weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
                     alpha: float = DEFAULT_ALPHA, tau: float = DEFAULT_TAU,
-                    tokenizer: Optional[TokenizerSpec] = None) -> RankedCandidateSet:
-    """Order candidates by combined score, best first.
-
-    A failing reward scorer downgrades that candidate to intrinsic-only
-    scoring with a logged warning.  Ties break toward the smaller
-    translator id so rankings are deterministic.
-    """
+                    tokenizer: Optional[TokenizerSpec] = None) -> list[tuple[str, float]]:
+    """``rank_rows`` over each candidate's ``score_row``."""
     if not candidates:
         raise ValueError(f"no candidates for conversation {source.id!r}")
-    scored: list[tuple[str, float]] = []
-    for candidate in candidates:
-        validate_candidate_structure(source, candidate)
-        quality = score_example(source, candidate, alpha=alpha, tau=tau,
-                                tokenizer=tokenizer)
-        rm: Optional[float] = None
-        if scorer is not None:
-            try:
-                rm = scorer(source, candidate.conversation)
-            except Exception as exc:
-                logger.warning("reward scorer failed for %s/%s: %s",
-                               source.id, candidate.translator_id, exc)
-        scored.append((candidate.translator_id,
-                       combine_scores(quality.lr, quality.scr, rm, weights)))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return RankedCandidateSet(conversation_id=source.id, ranking=scored)
+    return rank_rows([score_row(source, candidate, alpha, tau, tokenizer, scorer)
+                      for candidate in candidates], weights)
 
 
 # -- Bradley-Terry -----------------------------------------------------------

@@ -1,11 +1,16 @@
 import json
 import math
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
 
+from tarjama.backends import HttpRewardScorer
 from tarjama.cli import main
-from tarjama.corpus import conversation_to_dict, load_corpus, read_units
+from tarjama.config import load_config
+from tarjama.corpus import Candidate, conversation_to_dict, load_corpus, read_units
+from tarjama.ranking import rank_candidates
 from tarjama.workqueue import enqueue
 
 from conftest import (ARABIC_WORDS, LATIN_WORDS, corpus_jsonl, make_conversation,
@@ -175,6 +180,11 @@ def test_pipeline_matches_single_stage_chain(tmp_path, staged_corpus):
     assert (out / "candidates.jsonl").read_bytes() == candidates.read_bytes()
     assert (out / "scored.jsonl").read_bytes() == scored.read_bytes()
     assert rebuilt.read_bytes() != corpus_path.read_bytes()  # the table translated
+    # One rule picks every winner: the pipeline's are rank's over its rows.
+    winners = tmp_path / "winners.jsonl"
+    assert run(["rank", "--scored", str(out / "scored.jsonl"), "--winners-out",
+                str(winners), "--config", str(ini)], tmp_path)[0] == 0
+    assert (out / "winners.jsonl").read_bytes() == winners.read_bytes()
 
     key = ("conversation_id", "message_index", "part_index", "chunk_index")
     units = [json.loads(line) for line in units_path.read_text().splitlines()]
@@ -282,6 +292,64 @@ def test_score_then_rank_produces_winners(tmp_path):
     assert all(len(row["ranking"]) == 2 for row in ranking_rows)
 
 
+class _RewardByContent(BaseHTTPRequestHandler):
+    """Reward endpoint: 0.5 for every candidate, HTTP 500 for one whose
+    first message holds FAIL."""
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if "FAIL" in body["candidate"]["messages"][0]["content"]:
+            self.send_error(500)
+            return
+        data = json.dumps({"score": 0.5}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_rank_candidates_matches_score_then_rank_cli(tmp_path, caplog):
+    source = make_conversation("c", contents=[("user", "مرحبا بالعالم الجميل")])
+    candidates = [  # t-b and t-a tie; the scorer fails for t-fail
+        Candidate("c", tid, make_conversation("c", contents=[("user", text)]))
+        for tid, text in [("t-b", "مرحبا بالعالم الجميل"), ("t-zz", "zzqx vrtp mmlk"),
+                          ("t-fail", "مرحبا FAIL"), ("t-a", "مرحبا بالعالم الجميل")]]
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(corpus_jsonl([source]), encoding="utf-8")
+    cand_path = tmp_path / "candidates.jsonl"
+    cand_path.write_text("".join(json.dumps({
+        "conversation_id": c.conversation_id, "translator_id": c.translator_id,
+        "conversation": conversation_to_dict(c.conversation)}, ensure_ascii=False) + "\n"
+        for c in candidates), encoding="utf-8")
+    server = HTTPServer(("127.0.0.1", 0), _RewardByContent)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    endpoint = f"http://127.0.0.1:{server.server_port}"
+    scored, ranking = tmp_path / "scored.jsonl", tmp_path / "ranking.jsonl"
+    try:
+        with caplog.at_level("WARNING"):
+            expected = rank_candidates(source, candidates,
+                                       scorer=HttpRewardScorer(endpoint))
+            assert run(["score", "--corpus", str(corpus_path), "--candidates",
+                        str(cand_path), "--out", str(scored), "--reward-endpoint",
+                        endpoint], tmp_path)[0] == 0
+    finally:
+        server.shutdown()
+    assert run(["rank", "--scored", str(scored), "--winners-out",
+                str(tmp_path / "winners.jsonl"), "--ranking-out", str(ranking)],
+               tmp_path)[0] == 0
+    (row,) = [json.loads(line) for line in ranking.read_text().splitlines()]
+    assert [(r["translator_id"], r["score"]) for r in row["ranking"]] == expected
+    assert [t for t, _ in expected[:2]] == ["t-a", "t-b"]
+    assert expected[0][1] == expected[1][1]
+    rows = {r["translator_id"]: r for r in map(json.loads, scored.read_text().splitlines())}
+    assert "rm" not in rows["t-fail"] and rows["t-a"]["rm"] == 0.5
+    failures = [r.message for r in caplog.records if "reward scorer failed" in r.message]
+    assert len(failures) == 2 and all("c/t-fail" in m for m in failures)
+
+
 def test_stats_report_from_scored_rows(tmp_path):
     rows = [
         {"conversation_id": "a", "translator_id": "m", "split": "s1",
@@ -311,6 +379,44 @@ def test_bt_fit_cli_closed_form(tmp_path):
     rows = dict(line.split(",") for line in out.read_text().splitlines()[1:])
     assert float(rows["A"]) == pytest.approx(math.log(3) / 2, abs=1e-5)
     assert float(rows["B"]) == pytest.approx(-math.log(3) / 2, abs=1e-5)
+
+
+def test_bt_fit_rejects_a_row_without_a_loser(tmp_path, capsys):
+    prefs = tmp_path / "prefs.csv"
+    prefs.write_text("winner,loser,count\na\n", encoding="utf-8")
+    rc, manifest = run(["bt-fit", "--prefs", str(prefs),
+                        "--out", str(tmp_path / "scores.csv")], tmp_path)
+    assert rc == 1
+    assert f"error: {prefs} line 2:" in capsys.readouterr().err
+    assert json.loads(manifest.read_text().splitlines()[-1])["exit_code"] == 1
+
+
+SCORED_ROW = {"conversation_id": "c", "translator_id": "t", "split": "dev",
+              "lr": 0.9, "scr": 0.9, "tokens": 10, "turns": 2}
+
+
+@pytest.mark.parametrize("subcommand, field", [
+    *(("rank", f) for f in ("conversation_id", "translator_id", "lr", "scr", "tokens",
+                            "turns")),
+    *(("stats", f) for f in ("split", "lr", "scr", "tokens", "turns")),
+    *(("filter", f) for f in ("conversation_id", "lr", "scr", "tokens", "turns")),
+])
+def test_scored_row_without_a_field_exits_1(tmp_path, capsys, subcommand, field):
+    scored = tmp_path / "scored.jsonl"
+    scored.write_text(json.dumps({k: v for k, v in SCORED_ROW.items() if k != field})
+                      + "\n", encoding="utf-8")
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(corpus_jsonl([make_conversation("c")]), encoding="utf-8")
+    outputs = {
+        "rank": ["--winners-out", str(tmp_path / "winners.jsonl")],
+        "stats": ["--out", str(tmp_path / "report.md")],
+        "filter": ["--corpus", str(corpus_path), "--kept-out", str(tmp_path / "kept.jsonl"),
+                   "--rejected-out", str(tmp_path / "rejected.jsonl")],
+    }[subcommand]
+    rc, manifest = run([subcommand, "--scored", str(scored), *outputs], tmp_path)
+    assert rc == 1
+    assert f"error: scored row has no {field!r} field" in capsys.readouterr().err
+    assert json.loads(manifest.read_text().splitlines()[-1])["exit_code"] == 1
 
 
 def test_filter_cli(tmp_path):
@@ -404,10 +510,18 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 
 def test_unparseable_config_value_exits_2(tmp_path, capsys):
     ini = tmp_path / "bad.ini"
-    ini.write_text("[metrics]\nalpha = 1.25   ; comment\n", encoding="utf-8")
-    rc = main(["queue-status", "--queue", str(tmp_path), "--config", str(ini)])
-    assert rc == 2
-    assert "config error: [metrics] alpha:" in capsys.readouterr().err
+    for text, where in [
+        ("[metrics]\nalpha = 1.25   ; comment\n", "[metrics] alpha:"),
+        ("alpha = 1.25\n", f"{ini}: File contains no section headers"),
+        ("[run]\nprompt_template = 100% of {source}\n",
+         "[run] prompt_template: '%' must be followed by"),
+    ]:
+        ini.write_text(text, encoding="utf-8")
+        rc = main(["queue-status", "--queue", str(tmp_path), "--config", str(ini)])
+        assert rc == 2
+        assert f"config error: {where}" in capsys.readouterr().err
+    ini.write_text("[run]\nprompt_template = 100%% of {source}\n", encoding="utf-8")
+    assert load_config(str(ini)).prompt_template == "100% of {source}"
 
 
 def test_unknown_subcommand_exits_1(capsys):
@@ -452,8 +566,6 @@ def test_pipeline_rejects_undersized_backend_window(tmp_path, fixture_corpus):
 
 
 def test_score_with_reward_endpoint(tmp_path):
-    import threading
-    from http.server import HTTPServer
     from test_backends import _RewardHandler
 
     conv = make_conversation("c1", contents=[("user", "مرحبا")])
@@ -480,7 +592,6 @@ def test_score_with_reward_endpoint(tmp_path):
 
 
 def test_config_per_split_filter_overrides(tmp_path):
-    from tarjama.config import load_config
     ini = tmp_path / "conf.ini"
     ini.write_text("""
 [filter]

@@ -108,7 +108,7 @@ def _candidate(conv_id, translator, contents):
 def test_rank_single_candidate_wins():
     source = make_conversation("c", contents=[("user", "hello world")])
     result = rank_candidates(source, [_candidate("c", "only", [("user", "مرحبا بكم")])])
-    assert result.winner == "only"
+    assert result[0][0] == "only"
 
 
 def test_rank_identity_arabic_beats_gibberish():
@@ -116,9 +116,9 @@ def test_rank_identity_arabic_beats_gibberish():
     arabic = _candidate("c", "good", [("user", "مرحبا بالعالم الجميل")])
     gibberish = _candidate("c", "bad", [("user", "zzqx vrtp mmlk wwnn")])
     result = rank_candidates(source, [gibberish, arabic])
-    assert result.winner == "good"
-    assert len(result.ranking) == 2
-    assert result.ranking[0][1] > result.ranking[1][1]
+    assert result[0][0] == "good"
+    assert len(result) == 2
+    assert result[0][1] > result[1][1]
 
 
 def test_rank_tie_breaks_lexicographically():
@@ -126,7 +126,7 @@ def test_rank_tie_breaks_lexicographically():
     a = _candidate("c", "bbb", [("user", "مرحبا")])
     b = _candidate("c", "aaa", [("user", "مرحبا")])
     result = rank_candidates(source, [a, b])
-    assert [t for t, _ in result.ranking] == ["aaa", "bbb"]
+    assert [t for t, _ in result] == ["aaa", "bbb"]
 
 
 def test_rank_scorer_failure_downgrades_with_warning(caplog):
@@ -138,7 +138,7 @@ def test_rank_scorer_failure_downgrades_with_warning(caplog):
 
     with caplog.at_level("WARNING"):
         result = rank_candidates(source, [cand], scorer=failing_scorer)
-    assert result.winner == "m"
+    assert result[0][0] == "m"
     assert any("reward scorer failed" in r.message for r in caplog.records)
 
 
@@ -151,7 +151,7 @@ def test_rank_weights_scaling_leaves_order(rng):
     ]
     base = rank_candidates(source, cands, weights=(1, 1, 2))
     scaled = rank_candidates(source, cands, weights=(3, 3, 6))
-    assert [t for t, _ in base.ranking] == [t for t, _ in scaled.ranking]
+    assert [t for t, _ in base] == [t for t, _ in scaled]
 
 
 def test_rank_requires_candidates():
