@@ -190,9 +190,20 @@ def cmd_reconstruct(args, cfg: PipelineConfig) -> int:
 
 
 def _load_candidates(path: str) -> list[Candidate]:
-    return [Candidate(row["conversation_id"], row["translator_id"],
-                      conversation_from_dict(row["conversation"]))
-            for row in _read_jsonl(path)]
+    """The candidates file's rows; CorpusError names a row's missing field."""
+    candidates = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            row = json.loads(line)
+            for field in Candidate._fields:
+                if field not in row:
+                    raise CorpusError(f"{path} line {line_no}: candidate row has no "
+                                      f"{field!r} field")
+            candidates.append(Candidate(row["conversation_id"], row["translator_id"],
+                                        conversation_from_dict(row["conversation"])))
+    return candidates
 
 
 def cmd_score(args, cfg: PipelineConfig) -> int:
@@ -253,7 +264,11 @@ def cmd_bt_fit(args, cfg: PipelineConfig) -> int:
                 continue
             if len(row) < 2:
                 raise ValueError(f"{args.prefs} line {reader.line_num}: want winner,loser")
-            count = int(row[2]) if len(row) > 2 and row[2].strip() else 1
+            try:
+                count = int(row[2]) if len(row) > 2 and row[2].strip() else 1
+            except ValueError:
+                raise ValueError(f"{args.prefs} line {reader.line_num}: count "
+                                 f"{row[2]!r} is not an integer") from None
             records.append(PreferenceRecord(row[0].strip(), row[1].strip(), count))
     result = bt_fit(records, epsilon=args.epsilon, tol=args.tol,
                     max_iters=args.max_iters)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import logging
 import re
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -240,8 +242,15 @@ def load_corpus(path: Union[str, Path], strict: bool = True) -> list[Conversatio
         return parse_corpus(fh, strict=strict)
 
 
+# One encoder for the process: ``json.dumps(obj, ensure_ascii=False)`` builds
+# a new JSONEncoder on every call, and writes the same text.  Records are
+# trees of str, int, float, list and dict, never cyclic, so the encoder
+# skips the cycle check.
+json_text = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+
+
 def jsonl_line(obj: Mapping) -> str:
-    return json.dumps(obj, ensure_ascii=False) + "\n"
+    return json_text(obj) + "\n"
 
 
 def write_jsonl(objs: Iterable[Mapping], path: Union[str, Path]) -> None:
@@ -262,6 +271,8 @@ def split_parts(content: str) -> list[Part]:
     fully empty content yields one empty visible part so every message
     decomposes to at least one unit.
     """
+    if "think>" not in content:  # neither marker: one visible part
+        return [Part(PART_VISIBLE, content)]
     parts: list[Part] = []
     pos = 0
     inside_since: Optional[int] = None
@@ -294,14 +305,10 @@ def split_parts(content: str) -> list[Part]:
     return parts
 
 
-def join_parts(parts: Sequence[Part]) -> str:
-    pieces = []
-    for part in parts:
-        if part.kind == PART_THINK:
-            pieces.append(THINK_OPEN + part.text + THINK_CLOSE)
-        else:
-            pieces.append(part.text)
-    return "".join(pieces)
+def join_parts(parts: Iterable[tuple[str, str]]) -> str:
+    """Message content from its ``(kind, text)`` parts, such as ``Part``s."""
+    return "".join(THINK_OPEN + text + THINK_CLOSE if kind == PART_THINK else text
+                   for kind, text in parts)
 
 
 ChunkPlan = Mapping[tuple[int, int], Sequence[str]]
@@ -340,70 +347,94 @@ def decompose(conversation: Conversation, chunk_plan: ChunkPlan) -> list[Transla
     return units
 
 
+_CHUNK_ORDER = attrgetter("message_index", "part_index", "chunk_index")
+_PART_OF = attrgetter("message_index", "part_index")
+_TRANSLATED_TEXT = attrgetter("translated_text")
+_KIND_TEXT = itemgetter(3, 4)
+
+
+def _part_conflict(msg_idx: int, part_idx: int,
+                   chunks: Sequence[TranslatedUnit]) -> Optional[UnitConsistencyError]:
+    """The error for chunks of one part that disagree, or None."""
+    counts = {u.chunk_count for u in chunks}
+    if len(counts) > 1:
+        return UnitConsistencyError(
+            f"conflicting chunk_count for part ({msg_idx}, {part_idx}): {sorted(counts)}")
+    if len({u.part_type for u in chunks}) > 1:
+        return UnitConsistencyError(f"conflicting part_type for part ({msg_idx}, {part_idx})")
+    if len({u.role for u in chunks}) > 1:
+        return UnitConsistencyError(f"conflicting role in message {msg_idx}")
+    return None
+
+
+def _first_duplicate(units: Sequence[TranslatedUnit]) -> tuple:
+    seen = set()
+    for unit in units:
+        if unit.key in seen:
+            return unit.key
+        seen.add(unit.key)
+
+
 def reconstruct(units: Sequence[TranslatedUnit], split: str = "",
                 category: Optional[str] = None) -> Conversation:
     """Rebuild one conversation from a complete set of translated units.
 
-    Insensitive to input order.  Raises IncompleteUnitSetError when
+    Insensitive to input order: one pass over the units sorted by
+    (message, part, chunk) index.  Raises IncompleteUnitSetError when
     chunks or parts are missing and UnitConsistencyError when units
-    disagree on chunk_count, part type, or role.
+    repeat a chunk or disagree on chunk_count, part type, or role.  Of
+    several faults it reports the first repeated chunk in input order,
+    else the first part whose chunks disagree, else every missing chunk,
+    else the missing messages, else the first message that misses a part
+    or mixes roles.
     """
     if not units:
         raise IncompleteUnitSetError([("<no units>",)])
-    conv_ids = {u.conversation_id for u in units}
+    conv_ids = set(map(attrgetter("conversation_id"), units))
     if len(conv_ids) > 1:
         raise UnitConsistencyError(f"units span multiple conversations: {sorted(conv_ids)}")
     conv_id = units[0].conversation_id
 
-    by_part: dict[tuple[int, int], dict[int, TranslatedUnit]] = {}
-    for unit in units:
-        chunks = by_part.setdefault((unit.message_index, unit.part_index), {})
-        if unit.chunk_index in chunks:
-            raise UnitConsistencyError(
-                f"duplicate chunk {unit.key} in conversation {conv_id!r}")
-        chunks[unit.chunk_index] = unit
-
+    conflict: Optional[UnitConsistencyError] = None
     missing: list[tuple] = []
-    parts: dict[tuple[int, int], tuple[str, str, str]] = {}
-    for (msg_idx, part_idx), chunks in sorted(by_part.items()):
-        some = next(iter(chunks.values()))
-        counts = {u.chunk_count for u in chunks.values()}
-        if len(counts) > 1:
-            raise UnitConsistencyError(
-                f"conflicting chunk_count for part ({msg_idx}, {part_idx}): {sorted(counts)}")
-        if {u.part_type for u in chunks.values()} != {some.part_type}:
-            raise UnitConsistencyError(
-                f"conflicting part_type for part ({msg_idx}, {part_idx})")
-        if {u.role for u in chunks.values()} != {some.role}:
-            raise UnitConsistencyError(f"conflicting role in message {msg_idx}")
-        count = counts.pop()
-        absent = [i for i in range(count) if i not in chunks]
-        if absent:
-            missing.extend((msg_idx, part_idx, i) for i in absent)
+    parts: list[tuple[int, int, str, str, str]] = []  # message, part, role, kind, text
+    for (msg_idx, part_idx), group in groupby(sorted(units, key=_CHUNK_ORDER), _PART_OF):
+        chunks = list(group)
+        if len(chunks) > 1:
+            if len({u.chunk_index for u in chunks}) < len(chunks):
+                raise UnitConsistencyError(
+                    f"duplicate chunk {_first_duplicate(units)} in conversation {conv_id!r}")
+            conflict = conflict or _part_conflict(msg_idx, part_idx, chunks)
+        if conflict is not None:
+            continue  # only a repeated chunk can still outrank it
+        first = chunks[0]
+        if len(chunks) != first.chunk_count:
+            present = {u.chunk_index for u in chunks}
+            missing.extend((msg_idx, part_idx, i)
+                           for i in range(first.chunk_count) if i not in present)
             continue
-        text = "".join(chunks[i].translated_text for i in range(count))
-        parts[(msg_idx, part_idx)] = (some.part_type, text, some.role)
+        parts.append((msg_idx, part_idx, first.role, first.part_type,
+                      "".join(map(_TRANSLATED_TEXT, chunks))))
+    if conflict is not None:
+        raise conflict
     if missing:
         raise IncompleteUnitSetError(missing)
 
-    message_indices = sorted({m for m, _ in parts})
+    by_message = [(m, list(group)) for m, group in groupby(parts, itemgetter(0))]
+    message_indices = [m for m, _ in by_message]
     if message_indices != list(range(len(message_indices))):
-        absent_msgs = sorted(set(range(max(message_indices) + 1)) - set(message_indices))
-        raise IncompleteUnitSetError([(m, "*", "*") for m in absent_msgs])
-
+        raise IncompleteUnitSetError([(m, "*", "*") for m in range(message_indices[-1] + 1)
+                                      if m not in message_indices])
     messages: list[Message] = []
-    for msg_idx in message_indices:
-        part_indices = sorted(p for m, p in parts if m == msg_idx)
+    for msg_idx, msg_parts in by_message:
+        part_indices = [p[1] for p in msg_parts]
         if part_indices != list(range(len(part_indices))):
-            absent_parts = sorted(set(range(max(part_indices) + 1)) - set(part_indices))
-            raise IncompleteUnitSetError([(msg_idx, p, "*") for p in absent_parts])
-        roles = {parts[(msg_idx, p)][2] for p in part_indices}
-        if len(roles) > 1:
+            raise IncompleteUnitSetError([(msg_idx, p, "*") for p in range(part_indices[-1] + 1)
+                                          if p not in part_indices])
+        role = msg_parts[0][2]
+        if len(msg_parts) > 1 and len({p[2] for p in msg_parts}) > 1:
             raise UnitConsistencyError(f"conflicting role in message {msg_idx}")
-        content = join_parts([
-            Part(parts[(msg_idx, p)][0], parts[(msg_idx, p)][1]) for p in part_indices
-        ])
-        messages.append(Message(role=roles.pop(), content=content, index=msg_idx))
+        messages.append(Message(role, join_parts(map(_KIND_TEXT, msg_parts)), msg_idx))
     return Conversation(id=conv_id, split=split, messages=messages,
                         category=category)
 
@@ -453,12 +484,14 @@ def unit_to_dict(unit: TranslationUnit) -> dict:
     return obj
 
 
+_UNIT_VALUES = itemgetter(*_UNIT_FIELDS)  # in constructor order
+
+
 def unit_from_dict(obj: Mapping) -> TranslationUnit:
-    kwargs = {name: obj[name] for name in _UNIT_FIELDS}
     if "translated_text" in obj:
-        return TranslatedUnit(**kwargs, translated_text=obj["translated_text"],
-                              translator_id=obj.get("translator_id", ""))
-    return TranslationUnit(**kwargs)
+        return TranslatedUnit(*_UNIT_VALUES(obj), obj["translated_text"],
+                              obj.get("translator_id", ""))
+    return TranslationUnit(*_UNIT_VALUES(obj))
 
 
 def write_units(units: Iterable[TranslationUnit], path: Union[str, Path]) -> None:

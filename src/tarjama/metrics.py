@@ -90,13 +90,13 @@ def lr_score(inputs: LrInputs) -> float:
     )
 
 
-_WHITESPACE_RE = re.compile(r"\s+")
-
-
 def text_counts(text: str) -> tuple[int, int]:
-    """(whitespace codepoints, non-whitespace codepoints)."""
-    ws = sum(map(len, _WHITESPACE_RE.findall(text)))
-    return ws, len(text) - ws
+    """(whitespace codepoints, non-whitespace codepoints).
+
+    ``str.split`` cuts at exactly the code points ``str.isspace`` accepts,
+    the ones ``re``'s ``\\s`` matches."""
+    chars = sum(map(len, text.split()))
+    return len(text) - chars, chars
 
 
 def language_ratio(source: str, target: str, alpha: float = DEFAULT_ALPHA) -> float:
@@ -130,8 +130,10 @@ def strip_whitelisted(text: str) -> str:
     while True:
         stripped = text
         for literals, pattern in _STRIP_PATTERNS:
-            if any(lit in stripped for lit in literals):
-                stripped = pattern.sub("", stripped)
+            for literal in literals:
+                if literal in stripped:
+                    stripped = pattern.sub("", stripped)
+                    break
         if stripped == text:
             return stripped
         text = stripped

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional
 
@@ -120,8 +121,8 @@ def _encoder_for(spec: TokenizerSpec) -> _BpeEncoder:
 
 def tokenize(text: str, spec: TokenizerSpec) -> list[int]:
     """End offsets of the tokens of *text*, ascending."""
-    if spec.kind == "builtin-regex":
-        return [m.end() for m in _TOKEN_RE.finditer(text)]
+    if spec.kind == "builtin-regex":  # the tokens tile the text
+        return list(accumulate(map(len, _TOKEN_RE.findall(text))))
     encoder = _encoder_for(spec)
     ends: list[int] = []
     for m in _TOKEN_RE.finditer(text):

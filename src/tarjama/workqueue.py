@@ -18,8 +18,9 @@ does not grow with the queue's depth.
 
 A task holds at least ``batch_size`` units, and more only while their
 source text fits in the caller's character budget (``pack_batches``).
-Task ids are content hashes of the batch, so re-enqueueing the same units
-is a no-op.
+Task ids are content hashes of the translator id and the batch's units
+JSON, so re-enqueueing the same units is a no-op; that JSON is encoded once
+and the pending record is written around it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence, Union)
 
 from .backends import BackendError, BudgetExceededError, TranslatorBackend, translate_chunk
-from .corpus import TranslationUnit, unit_from_dict, unit_to_dict
+from .corpus import TranslationUnit, json_text, unit_from_dict, unit_to_dict
 
 logger = logging.getLogger(__name__)
 
@@ -90,16 +91,17 @@ def init_queue(queue_dir: Union[str, Path]) -> None:
         path.mkdir(parents=True, exist_ok=True)
 
 
-def _atomic_write_json(path: Path, obj: dict) -> None:
+def _atomic_write_json(path: Path, text: str) -> None:
+    """Write the JSON *text* to *path* through a temp name and a rename."""
     tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
-    tmp.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    tmp.write_text(text, encoding="utf-8")
     os.rename(tmp, path)
 
 
 def _exclusive_publish_json(path: Path, obj: dict) -> bool:
     """Atomically create *path* with *obj*; False if it already exists."""
     tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
-    tmp.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    tmp.write_text(json_text(obj), encoding="utf-8")
     try:
         os.link(tmp, path)
         return True
@@ -127,11 +129,23 @@ def _task_from_dict(obj: Mapping) -> Task:
     )
 
 
-def _batch_task_id(units: Sequence[TranslationUnit], translator_id: str) -> str:
-    payload = json.dumps(
-        {"translator_id": translator_id, "units": [unit_to_dict(u) for u in units]},
-        sort_keys=True, ensure_ascii=False)
+def _units_json(units: Sequence[TranslationUnit]) -> str:
+    return json_text([unit_to_dict(u) for u in units])
+
+
+def _batch_task_id(units_json: str, translator_id: str) -> str:
+    """Content hash of a batch: the translator id's JSON string, which ends
+    at its closing quote, followed by the batch's ``_units_json`` text."""
+    payload = json_text(translator_id) + units_json
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+
+
+def _task_json(task: Task, units_json: str) -> str:
+    """The text ``json_text(_task_to_dict(task))`` gives, around the
+    already encoded units of *task*."""
+    return (f'{{"task_id": {json_text(task.task_id)}, '
+            f'"translator_id": {json_text(task.translator_id)}, '
+            f'"attempt": {json_text(task.attempt)}, "units": {units_json}}}')
 
 
 def pack_batches(units: Iterable[TranslationUnit], batch_size: int,
@@ -174,8 +188,9 @@ def enqueue(queue_dir: Union[str, Path], units: Sequence[TranslationUnit],
     dirs = _dirs(queue_dir)
     tasks: list[Task] = []
     for batch in batches:
+        units_json = _units_json(batch)
         task = Task(
-            task_id=_batch_task_id(batch, translator_id),
+            task_id=_batch_task_id(units_json, translator_id),
             translator_id=translator_id,
             attempt=0,
             units=batch,
@@ -185,7 +200,7 @@ def enqueue(queue_dir: Union[str, Path], units: Sequence[TranslationUnit],
         done_path = dirs["done"] / f"{task.task_id}.json"
         if pending_path.exists() or done_path.exists():
             continue
-        _atomic_write_json(pending_path, _task_to_dict(task))
+        _atomic_write_json(pending_path, _task_json(task, units_json))
     return tasks
 
 
@@ -268,7 +283,7 @@ def _claim(dirs: dict[str, Path], task_id: str, worker_id: str, ttl: float,
         return None
     if took_over:
         task.attempt += 1
-        _atomic_write_json(pending_path, _task_to_dict(task))
+        _atomic_write_json(pending_path, _task_json(task, _units_json(task.units)))
     return task
 
 
@@ -297,17 +312,24 @@ def complete(queue_dir: Union[str, Path], task: Task, worker_id: str,
     Returns False (with a warning) when another worker already completed
     the task; raises ResultIncompleteError when results are partial, in
     which case the lease is kept."""
-    missing = [key for key in task.unit_refs if key not in results]
+    keys = task.unit_refs
+    missing = [key for key in keys if key not in results]
     if missing:
         raise ResultIncompleteError(missing)
     dirs = _dirs(queue_dir)
+    translator_id = task.translator_id
+    units = []
+    for unit, key in zip(task.units, keys):
+        obj = unit_to_dict(unit)
+        obj["translated_text"] = results[key]
+        obj["translator_id"] = translator_id
+        units.append(obj)
     record = {
         "task_id": task.task_id,
-        "translator_id": task.translator_id,
+        "translator_id": translator_id,
         "worker_id": worker_id,
         "attempt": task.attempt,
-        "units": [dict(unit_to_dict(u), translated_text=results[u.key],
-                       translator_id=task.translator_id) for u in task.units],
+        "units": units,
     }
     done_path = dirs["done"] / f"{task.task_id}.json"
     published = _exclusive_publish_json(done_path, record)
@@ -323,7 +345,8 @@ def release_task(queue_dir: Union[str, Path], task: Task) -> None:
     """Write a leased task back to pending/, attempt counter included, and
     drop its lease so any worker can claim it again."""
     dirs = _dirs(queue_dir)
-    _atomic_write_json(dirs["pending"] / f"{task.task_id}.json", _task_to_dict(task))
+    _atomic_write_json(dirs["pending"] / f"{task.task_id}.json",
+                       _task_json(task, _units_json(task.units)))
     (dirs["leases"] / f"{task.task_id}.lock").unlink(missing_ok=True)
 
 

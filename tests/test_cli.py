@@ -391,6 +391,35 @@ def test_bt_fit_rejects_a_row_without_a_loser(tmp_path, capsys):
     assert json.loads(manifest.read_text().splitlines()[-1])["exit_code"] == 1
 
 
+def test_bt_fit_names_the_line_of_a_bad_count(tmp_path, capsys):
+    prefs = tmp_path / "prefs.csv"
+    prefs.write_text("winner,loser,count\nA,B,3\na,b,x\n", encoding="utf-8")
+    rc, manifest = run(["bt-fit", "--prefs", str(prefs),
+                        "--out", str(tmp_path / "scores.csv")], tmp_path)
+    assert rc == 1
+    assert f"error: {prefs} line 3: count 'x' is not an integer" in capsys.readouterr().err
+    assert json.loads(manifest.read_text().splitlines()[-1])["exit_code"] == 1
+
+
+@pytest.mark.parametrize("field", ["conversation_id", "translator_id", "conversation"])
+def test_score_names_the_missing_field_of_a_candidate_row(tmp_path, capsys, field):
+    conv = make_conversation("c")
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(corpus_jsonl([conv]), encoding="utf-8")
+    row = {"conversation_id": "c", "translator_id": "t",
+           "conversation": conversation_to_dict(conv)}
+    cand_path = tmp_path / "candidates.jsonl"
+    cand_path.write_text(json.dumps(row) + "\n\n"
+                         + json.dumps({k: v for k, v in row.items() if k != field}) + "\n",
+                         encoding="utf-8")
+    rc, manifest = run(["score", "--corpus", str(corpus_path), "--candidates",
+                        str(cand_path), "--out", str(tmp_path / "scored.jsonl")], tmp_path)
+    assert rc == 1
+    assert (f"error: {cand_path} line 3: candidate row has no {field!r} field"
+            in capsys.readouterr().err)
+    assert json.loads(manifest.read_text().splitlines()[-1])["exit_code"] == 1
+
+
 SCORED_ROW = {"conversation_id": "c", "translator_id": "t", "split": "dev",
               "lr": 0.9, "scr": 0.9, "tokens": 10, "turns": 2}
 

@@ -91,6 +91,11 @@ def test_split_parts_roundtrip_trailing_think():
     assert join_parts(parts) == content
 
 
+@pytest.mark.parametrize("content", ["I think> so", "<think", "think>think>", "</thin k>"])
+def test_split_parts_near_markers_stay_one_visible_part(content):
+    assert split_parts(content) == [Part("visible", content)]
+
+
 def test_split_parts_empty_content_yields_one_part():
     assert split_parts("") == [Part("visible", "")]
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import unicodedata
 
 import pytest
@@ -376,6 +377,7 @@ def test_contains_cjk_matches_reference(text):
 def test_text_counts_on_every_codepoint():
     text = "".join(map(chr, itertools.chain(range(0xD800), range(0xE000, 0x110000))))
     assert text_counts(text) == reference_text_counts(text)
+    assert text_counts(text)[0] == len(re.findall(r"\s", text))  # \s is str.isspace
 
 
 def test_tally_scripts_on_every_bmp_codepoint_before_a_mark():

@@ -2,10 +2,16 @@
 
 ``perfbench/spans.py`` wraps the functions listed in ``LAYERS`` by name,
 so renaming or deleting one of them breaks ``perfbench/run.py --trace 1``
-without failing any other test."""
+without failing any other test.  ``SETUP_CODE`` in ``perfbench/run.py`` is
+what every benchmarked process does before its first stage, so what it
+imports is paid by every tarjama command."""
 
+import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +20,8 @@ import pytest
 import tarjama.cli
 from tarjama import ranking
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -46,3 +53,30 @@ def test_tracer_installs_after_importing_cli_and_sees_ranking(spans):
                 setattr(sys.modules[name], attr, value)
     # rank_rows calls combine_scores through the module global it wraps.
     assert [span[0] for span in tracer.spans] == ["ranking.rank"]
+
+
+# Modules that only some commands need, loaded on first use.
+LAZY_MODULES = ("csv", "configparser", "dataclasses", "requests", "multiprocessing")
+
+
+def _setup_code() -> str:
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "SETUP_CODE":
+            return ast.literal_eval(node.value)
+    raise LookupError("perfbench/run.py defines no SETUP_CODE")
+
+
+def _modules_after(code: str) -> set[str]:
+    """Top-level names of the modules a fresh interpreter holds after *code*."""
+    script = f"{code}\nimport sys\nprint(__import__('json').dumps(sorted(sys.modules)))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          check=True, timeout=60)
+    return {name.split(".")[0] for name in json.loads(proc.stdout.splitlines()[-1])}
+
+
+def test_setup_code_loads_no_lazy_module():
+    loaded = _modules_after(_setup_code()) - _modules_after("pass")
+    assert "tarjama" in loaded
+    assert sorted(loaded.intersection(LAZY_MODULES)) == []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -12,11 +13,12 @@ from test_chunking import DENSE_PIECES, small_policies
 from tarjama.backends import BackendError, BudgetExceededError, TranslatorBackend
 from tarjama.chunking import plan_chunks
 from tarjama.cli import main
-from tarjama.corpus import TranslationUnit, write_units
+from tarjama.corpus import TranslationUnit, unit_to_dict, write_units
 from tarjama.tokenizers import TokenizerSpec, count_tokens
-from tarjama.workqueue import (ResultIncompleteError, acquire, complete,
-                               enqueue, fail_task, init_queue, pack_batches,
-                               queue_status, worker_loop)
+from tarjama.workqueue import (ResultIncompleteError, _task_to_dict, acquire,
+                               complete, enqueue, fail_task, init_queue,
+                               pack_batches, queue_status, release_task,
+                               worker_loop)
 
 
 def make_units(n, conv="c", texts=None):
@@ -135,6 +137,54 @@ def test_complete_writes_done_and_clears(tmp_path):
     assert status == {"pending": 0, "leased": 0, "done": 1, "failed": 0}
     record = json.loads(next((tmp_path / "done").glob("*.json")).read_text())
     assert record["units"][0]["translated_text"] == "TEXT 0"
+
+
+ODD_TEXTS = ['say "hi" \\ there', "مرحبا\u064e بالعالم", "tab\tnew\nline", "\U0001f600 ok"]
+
+
+def _pending_text(queue, task):
+    return (queue / "pending" / f"{task.task_id}.json").read_text(encoding="utf-8")
+
+
+def test_pending_record_is_the_json_of_the_task_dict(tmp_path):
+    clock = FakeClock()
+    (task,) = enqueue(tmp_path, make_units(4, texts=ODD_TEXTS), 'tr "ü"', batch_size=4)
+    text = _pending_text(tmp_path, task)
+    assert text == json.dumps(_task_to_dict(task), ensure_ascii=False)
+    assert json.loads(text) == _task_to_dict(task)
+    acquire(tmp_path, "w1", ttl=60, now=clock)
+    clock.advance(61)
+    taken = acquire(tmp_path, "w2", ttl=60, now=clock)  # takeover rewrites pending/
+    assert taken.attempt == 1
+    assert _pending_text(tmp_path, task) == json.dumps(_task_to_dict(taken),
+                                                       ensure_ascii=False)
+    taken.attempt = 2
+    release_task(tmp_path, taken)
+    assert _pending_text(tmp_path, task) == json.dumps(_task_to_dict(taken),
+                                                       ensure_ascii=False)
+
+
+def test_task_id_hashes_translator_id_and_units_json(tmp_path):
+    units = make_units(2)
+    (task,) = enqueue(tmp_path, units, "seed", batch_size=2)
+    payload = json.dumps("seed") + json.dumps([unit_to_dict(u) for u in units])
+    assert task.task_id == hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+    assert task.task_id == "f521bd21917068c3b5a9412e"  # pinned: ids name queue files
+    (other,) = enqueue(tmp_path, units, "seed2", batch_size=2)
+    assert other.task_id != task.task_id
+
+
+def test_done_record_adds_translation_fields_to_each_unit(tmp_path):
+    (task,) = enqueue(tmp_path, make_units(4, texts=ODD_TEXTS), "seed", batch_size=4)
+    task = acquire(tmp_path, "w1")
+    results = {u.key: u.source_text[::-1] for u in task.units}
+    assert complete(tmp_path, task, "w1", results)
+    record = {"task_id": task.task_id, "translator_id": "seed", "worker_id": "w1",
+              "attempt": 0,
+              "units": [dict(unit_to_dict(u), translated_text=results[u.key],
+                             translator_id="seed") for u in task.units]}
+    done = tmp_path / "done" / f"{task.task_id}.json"
+    assert done.read_text(encoding="utf-8") == json.dumps(record, ensure_ascii=False)
 
 
 def test_complete_partial_results_rejected(tmp_path):

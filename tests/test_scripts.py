@@ -1,7 +1,11 @@
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,3 +34,37 @@ def test_mock_pipeline_demo_is_byte_identical_across_runs(tmp_path):
     artifacts = _artifacts(first)
     assert "report.md" in artifacts and "sampled.jsonl" in artifacts
     assert artifacts == _artifacts(second)
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _perfbench_stdout(wall: float, rss: float) -> str:
+    result = {"correct": True, "attempted": 3, "failed": 0, "metrics": {
+        "wall_s": {"value": wall, "unit": "s"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+    return f"workload many-short seed 1: ...\nsha256 ...\n{json.dumps(result)}\n"
+
+
+def test_bench_pairs_summary_of_canned_runs():
+    bench = _bench_pairs()
+    metrics = [{"name": "wall_s", "better": "lower"},
+               {"name": "peak_rss_mb", "better": "lower"}]
+    walls = [(2.0, 1.7), (2.2, 1.9), (1.9, 1.8), (2.1, 1.8), (2.0, 2.1)]
+    pairs = [(bench.parse_run(_perfbench_stdout(b, 30.0)),
+              bench.parse_run(_perfbench_stdout(c, 30.0))) for b, c in walls]
+    wall, rss = bench.summarize(pairs, metrics)
+    assert wall["base"] == pytest.approx((2.0, 2.0, 2.1))
+    assert wall["change"] == pytest.approx((1.8, 1.8, 1.9))
+    assert wall["ratio"] == pytest.approx(1.9 / 2.2)  # median of the five pair ratios
+    assert (wall["wins"], wall["pairs"]) == (4, 5)
+    assert not wall["gain"]  # 4 of 5 pairs is under nine tenths
+    assert (rss["wins"], rss["ratio"], rss["gain"]) == (0, 1.0, False)
+    pairs[4] = (pairs[4][0], bench.parse_run(_perfbench_stdout(1.7, 30.0)))
+    assert bench.summarize(pairs, metrics)[0]["gain"]
+    assert "wall_s" in bench.format_summary(bench.summarize(pairs, metrics))

@@ -3,8 +3,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from tarjama.tokenizers import (ConfigurationError, TokenizerSpec, count_tokens,
-                                tokenize)
+from tarjama.tokenizers import (_TOKEN_RE, ConfigurationError, TokenizerSpec,
+                                count_tokens, tokenize)
 
 BUILTIN = TokenizerSpec.builtin()
 
@@ -45,6 +45,12 @@ def test_full_coverage_property(text):
         assert end > pos
         pos = end
     assert pos == len(text)
+
+
+@given(st.text(max_size=200) | st.text(alphabet=" \t\n\u00a0\u3000_.,aZ9٣مرحبا\u064e",
+                                     max_size=200))
+def test_builtin_tokenize_matches_match_ends(text):
+    assert tokenize(text, BUILTIN) == [m.end() for m in _TOKEN_RE.finditer(text)]
 
 
 @given(st.text(max_size=100))
