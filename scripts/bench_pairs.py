@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one perfbench workload in alternating pairs.
+"""Compare two checkouts on perfbench workloads in alternating pairs.
 
 Usage::
 
     python3 scripts/bench_pairs.py BASE_CHECKOUT CHANGE_CHECKOUT \\
-        --workload many-short --pairs 10 --seconds 35 [--seed 1]
+        --workload many-short [--workload long-think ...] --pairs 10 \\
+        --seconds 35 [--seed 1]
 
-Each pair runs ``perfbench/run.py`` once in each checkout, one after the
-other; the base goes first in even pairs and the change in odd ones.
-Every run's end-to-end metrics are printed as it ends.  The summary gives,
-per metric, each side's median and quartiles, the median over pairs of
-change / base, how many pairs the change won, and whether that is a gain:
-the change won at least nine tenths of the pairs and its median beats the
-base's by more than the distance between the base's quartiles.  The
-metrics and which way is better come from the change's ``BENCHMARK.json``.
+For each ``--workload`` in turn, each pair runs ``perfbench/run.py`` once
+in each checkout, one after the other; the base goes first in even pairs
+and the change in odd ones.  Every run's end-to-end metrics are printed as
+it ends, and each workload's summary block once its pairs are done.  The
+summary gives, per metric, each side's median and quartiles, the median
+over pairs of change / base, how many pairs the change won, and whether
+that is a gain: the change won at least nine tenths of the pairs and its
+median beats the base's by more than the distance between the base's
+quartiles.  The metrics and which way is better come from the change's
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -95,7 +98,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a workload to compare; repeat for several")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--seed", type=int, default=1)
@@ -103,19 +107,24 @@ def main() -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = spec["end_to_end"]
-    pairs = []
-    for n in range(args.pairs):
-        sides = [("base", args.base), ("change", args.change)]
-        result = {}
-        for side, checkout in (sides if n % 2 == 0 else sides[::-1]):
-            result[side] = run_once(checkout, args.workload, args.seed, args.seconds)
-            values = " ".join(f"{m['name']}={result[side]['metrics'][m['name']]['value']:.6g}"
-                              for m in metrics)
-            print(f"pair {n} {side:<6} {values} correct={result[side]['correct']}",
-                  flush=True)
-        pairs.append((result["base"], result["change"]))
-    print(format_summary(summarize(pairs, metrics)))
-    return 0 if all(b["correct"] and c["correct"] for b, c in pairs) else 1
+    correct = True
+    for workload in args.workload:
+        pairs = []
+        for n in range(args.pairs):
+            sides = [("base", args.base), ("change", args.change)]
+            result = {}
+            for side, checkout in (sides if n % 2 == 0 else sides[::-1]):
+                result[side] = run_once(checkout, workload, args.seed, args.seconds)
+                values = " ".join(
+                    f"{m['name']}={result[side]['metrics'][m['name']]['value']:.6g}"
+                    for m in metrics)
+                print(f"{workload} pair {n} {side:<6} {values} "
+                      f"correct={result[side]['correct']}", flush=True)
+            pairs.append((result["base"], result["change"]))
+        print(f"{workload} summary, seed {args.seed}:")
+        print(format_summary(summarize(pairs, metrics)), flush=True)
+        correct = correct and all(b["correct"] and c["correct"] for b, c in pairs)
+    return 0 if correct else 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import os
 import time
 from typing import Optional
 
-from .corpus import Conversation, TranslationUnit, conversation_to_dict
+from .corpus import Conversation, TranslationUnit, _has_surrogates, conversation_to_dict
 from .tokenizers import TokenizerSpec, count_tokens
 
 logger = logging.getLogger(__name__)
@@ -106,7 +106,8 @@ def translate_chunk(backend: TranslatorBackend, unit: TranslationUnit,
 
     When a tokenizer is supplied the full prompt is checked against the
     backend's input window first; exceeding it is a chunker bug, not a
-    retryable condition."""
+    retryable condition.  A translation holding unpaired surrogates cannot
+    be written as UTF-8, so it is a ``BackendError`` too."""
     prompt = prompt_template.format(source=unit.source_text,
                                     target_language=target_language)
     if tokenizer is not None:
@@ -118,8 +119,13 @@ def translate_chunk(backend: TranslatorBackend, unit: TranslationUnit,
     if backend.kind == "mock-identity":
         return unit.source_text
     if backend.kind == "mock-table":
-        return backend.table.get(unit.source_text, unit.source_text)
-    return _post_chat(backend, prompt, sleep=sleep)
+        text = backend.table.get(unit.source_text, unit.source_text)
+    else:
+        text = _post_chat(backend, prompt, sleep=sleep)
+    if _has_surrogates(text):
+        raise BackendError(f"backend {backend.id!r} returned unpaired surrogates "
+                           f"for unit {unit.key}")
+    return text
 
 
 class HttpRewardScorer:

@@ -68,11 +68,16 @@ def _best_in_window(pattern: re.Pattern, text: str, ends: list[int],
                key=lambda c: (abs(c - t_star), c), default=None)
 
 
+def fits_one_chunk(text: str, policy: ChunkPolicy) -> bool:
+    """True when *text* is short enough to be one chunk whatever the
+    tokenizer: a token covers at least one code point."""
+    return len(text) <= policy.hard_cap_tokens
+
+
 def plan_chunks(text: str, spec: TokenizerSpec, policy: ChunkPolicy) -> list[Chunk]:
-    # A token covers at least one code point, so a part this short fits
-    # one chunk.  Empty parts still get one (empty) chunk so decomposition
-    # and reconstruction stay total.
-    if len(text) <= policy.hard_cap_tokens:
+    # Empty parts still get one (empty) chunk so decomposition and
+    # reconstruction stay total.
+    if fits_one_chunk(text, policy):
         return [Chunk(text=text, token_count=count_tokens(text, spec),
                       boundary_kind=BOUNDARY_END)]
     ends = tokenize(text, spec)

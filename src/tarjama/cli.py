@@ -15,20 +15,20 @@ import sys
 import time
 from contextlib import ExitStack
 from itertools import groupby
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from . import __version__, uniscript
 from .backends import BackendError, HttpRewardScorer, TranslatorBackend
-from .chunking import ChunkPolicy, plan_chunks
+from .chunking import ChunkPolicy, fits_one_chunk, plan_chunks
 from .config import BackendConfig, ConfigurationError, PipelineConfig, load_config, _parse_ratios
 from .corpus import (Candidate, Conversation, CorpusError, TranslatedUnit,
                      conversation_from_dict, conversation_to_dict, decompose,
                      group_units_by_conversation, identity_translate,
-                     jsonl_line, load_corpus, read_units, reconstruct, split_parts,
-                     unit_from_dict, unit_to_dict, write_corpus, write_jsonl,
-                     write_units)
+                     json_text, jsonl_line, load_corpus, read_units, reconstruct,
+                     split_parts, unit_from_dict, unit_to_dict, write_corpus,
+                     write_jsonl, write_units)
 from .metrics import QualityScore
 from .ranking import (FitError, PreferenceRecord, bt_fit, rank_rows, row_field,
                       row_quality, score_row)
@@ -53,12 +53,15 @@ class _Parser(argparse.ArgumentParser):
 
 def build_chunk_plan(conversation: Conversation, spec: TokenizerSpec,
                      policy: ChunkPolicy) -> dict[tuple[int, int], list[str]]:
-    """Chunk every part of every message under the given policy."""
+    """Chunk every part of every message under the given policy; a part
+    that fits one chunk is its own chunk text, without a token count."""
     plan: dict[tuple[int, int], list[str]] = {}
     for msg in conversation.messages:
         for part_index, part in enumerate(split_parts(msg.content)):
-            plan[(msg.index, part_index)] = [
-                c.text for c in plan_chunks(part.text, spec, policy)]
+            text = part.text
+            plan[(msg.index, part_index)] = (
+                [text] if fits_one_chunk(text, policy)
+                else [c.text for c in plan_chunks(text, spec, policy)])
     return plan
 
 
@@ -145,10 +148,10 @@ def cmd_work(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def read_done_units(queue_dir,
-                    task_ids: Optional[Iterable[str]] = None) -> Iterator[TranslatedUnit]:
-    """Yield the translated units of every done/ record in sorted order, or
-    of *task_ids*' records in the given order (CorpusError if one is missing)."""
+def _done_unit_dicts(queue_dir,
+                     task_ids: Optional[Iterable[str]] = None) -> Iterator[dict]:
+    """The unit dicts of ``read_done_units``, each checked to hold a
+    translation."""
     done = Path(queue_dir) / "done"
     paths = (sorted(done.glob("*.json")) if task_ids is None
              else (done / f"{task_id}.json" for task_id in task_ids))
@@ -158,11 +161,17 @@ def read_done_units(queue_dir,
         except FileNotFoundError:
             raise CorpusError(f"task {path.stem} has no done/ record") from None
         for obj in record["units"]:
-            unit = unit_from_dict(obj)
-            if not isinstance(unit, TranslatedUnit):
+            if "translated_text" not in obj:
                 raise CorpusError(f"{path}: done record holds a unit "
                                   "without 'translated_text'")
-            yield unit
+            yield obj
+
+
+def read_done_units(queue_dir,
+                    task_ids: Optional[Iterable[str]] = None) -> Iterator[TranslatedUnit]:
+    """Yield the translated units of every done/ record in sorted order, or
+    of *task_ids*' records in the given order (CorpusError if one is missing)."""
+    return map(unit_from_dict, _done_unit_dicts(queue_dir, task_ids))
 
 
 def _reconstruct_corpus(units: list[TranslatedUnit],
@@ -374,25 +383,36 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
 
     # Pass 1, per conversation: write its units, keep its untranslated system
     # units, and stream translatable units through pack_batches, enqueueing
-    # each batch as one task as soon as it closes.
-    passthrough: dict[str, list[TranslatedUnit]] = {}
+    # each batch as one task as soon as it closes.  Each unit is encoded
+    # once: its JSON text is its units.jsonl line and its part of the task.
+    passthrough: dict[str, list[tuple[TranslatedUnit, dict]]] = {}
     task_ids: list[str] = []
+    texts: list[str] = []  # JSON texts of the units pack_batches has taken
 
     def translatable(units_fh) -> Iterator:
         for conv in conversations:
             plan = build_chunk_plan(conv, cfg.chunking_tokenizer, policy)
             for unit in decompose(conv, plan):
-                units_fh.write(jsonl_line(unit_to_dict(unit)))
+                obj = unit_to_dict(unit)
+                text = json_text(obj)
+                units_fh.write(text + "\n")
                 if unit.role == "system" and not translate_system:
-                    passthrough.setdefault(conv.id, []).append(
-                        identity_translate(unit, "passthrough"))
+                    passthrough.setdefault(conv.id, []).append((
+                        identity_translate(unit, "passthrough"),
+                        dict(obj, translated_text=unit.source_text,
+                             translator_id="passthrough")))
                     continue
+                texts.append(text)
                 yield unit
 
     with _open_out(out / "units.jsonl") as units_fh:
         for batch in pack_batches(translatable(units_fh), cfg.batch_size,
                                   cfg.batch_size * policy.hard_cap_tokens):
-            (task,) = enqueue(queue_dir, batch, backend.id, batch_size=len(batch))
+            # pack_batches may already hold the unit after the batch.
+            batch_texts = texts[:len(batch)]
+            del texts[:len(batch)]
+            (task,) = enqueue(queue_dir, batch, backend.id, batch_size=len(batch),
+                              unit_texts=batch_texts)
             task_ids.append(task.task_id)
     if task_ids:
         worker_loop(queue_dir, backend, worker_id="pipeline-worker",
@@ -402,26 +422,31 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
 
     # Pass 2, per conversation: the done/ records, read in enqueue order, hold
     # each conversation's translated units contiguously.  Rebuild, score and
-    # write it before reading on; keep only the score rows.
-    groups = groupby(read_done_units(queue_dir, task_ids),
-                     key=attrgetter("conversation_id"))
+    # write it before reading on; keep only the score rows.  A unit's
+    # translated_units.jsonl line is the JSON of its done-record dict, and
+    # the rebuilt conversation's JSON serves both corpus and candidate line.
+    groups = groupby(_done_unit_dicts(queue_dir, task_ids),
+                     key=itemgetter("conversation_id"))
     group_id, group = next(groups, (None, ()))
     scored_rows = []
+    translator_json = json_text(backend.id)
     with ExitStack() as stack:
         fh = {name: stack.enter_context(_open_out(out / f"{name}.jsonl")) for name in (
             "translated_units", "translated_corpus", "candidates", "scored", "winners")}
         for conv in conversations:
-            units = passthrough.pop(conv.id, [])
+            pairs = passthrough.pop(conv.id, [])
             if group_id == conv.id:
-                units.extend(group)
+                pairs.extend((unit_from_dict(obj), obj) for obj in group)
                 group_id, group = next(groups, (None, ()))
-            units.sort(key=attrgetter("key"))  # units.jsonl order
-            fh["translated_units"].writelines(jsonl_line(unit_to_dict(u)) for u in units)
-            rebuilt = reconstruct(units, conv.split, conv.category)
+            pairs.sort(key=lambda pair: pair[0].key)  # units.jsonl order
+            fh["translated_units"].writelines(jsonl_line(obj) for _, obj in pairs)
+            rebuilt = reconstruct([unit for unit, _ in pairs], conv.split, conv.category)
             ids = {"conversation_id": conv.id, "translator_id": backend.id}
-            rebuilt_obj = conversation_to_dict(rebuilt)
-            fh["translated_corpus"].write(jsonl_line(rebuilt_obj))
-            fh["candidates"].write(jsonl_line(dict(ids, conversation=rebuilt_obj)))
+            rebuilt_json = json_text(conversation_to_dict(rebuilt))
+            fh["translated_corpus"].write(rebuilt_json + "\n")
+            fh["candidates"].write(  # the text jsonl_line(dict(ids, conversation=...)) gives
+                f'{{"conversation_id": {json_text(conv.id)}, '
+                f'"translator_id": {translator_json}, "conversation": {rebuilt_json}}}\n')
             row = score_row(conv, Candidate(conv.id, backend.id, rebuilt),
                             cfg.alpha, cfg.tau, cfg.analysis_tokenizer)
             fh["scored"].write(jsonl_line(row))

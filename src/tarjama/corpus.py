@@ -13,6 +13,7 @@ import json
 import logging
 import re
 from itertools import groupby
+from json.encoder import c_make_encoder, encode_basestring
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -243,10 +244,20 @@ def load_corpus(path: Union[str, Path], strict: bool = True) -> list[Conversatio
 
 
 # One encoder for the process: ``json.dumps(obj, ensure_ascii=False)`` builds
-# a new JSONEncoder on every call, and writes the same text.  Records are
-# trees of str, int, float, list and dict, never cyclic, so the encoder
-# skips the cycle check.
-json_text = json.JSONEncoder(ensure_ascii=False, check_circular=False).encode
+# a new JSONEncoder on every call, and ``JSONEncoder.encode`` a new C encoder
+# on every call; both write the same text as this one.  Records are trees of
+# str, int, float, list and dict, never cyclic, so the encoder skips the
+# cycle check.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False)
+if c_make_encoder is None:  # an interpreter without the C accelerator
+    json_text = _ENCODER.encode
+else:
+    _encode = c_make_encoder(None, _ENCODER.default, encode_basestring, None,
+                             _ENCODER.key_separator, _ENCODER.item_separator,
+                             False, False, True)  # sort_keys, skipkeys, allow_nan
+
+    def json_text(obj) -> str:
+        return "".join(_encode(obj, 0))
 
 
 def jsonl_line(obj: Mapping) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import uniscript
 from .corpus import Candidate, Conversation, validate_candidate_structure
@@ -174,23 +174,24 @@ _OTHER_LETTER_MARK_RUN = re.compile("o(m+)")
 _DIGIT_MARK_RUN = re.compile("d(m+)")
 
 
-class _ScriptClassTable(dict):
-    """Codepoint -> SCR class letter, filled on first use from classify_char."""
-
-    def __missing__(self, cp: int) -> str:
-        ch = chr(cp)
-        # Only an inherited mark's class depends on the base before it.
-        if classify_char(ch, CLASS_ARABIC) != classify_char(ch, CLASS_OTHER_LETTER):
-            letter = _INHERITED_LETTER
-        elif unicodedata.category(ch) in _MARK_CATEGORIES:
-            letter = _OWN_CLASS_MARK_LETTERS[classify_char(ch)]
-        else:
-            letter = _BASE_LETTERS[classify_char(ch)]
-        self[cp] = letter
-        return letter
+def _class_letter(ch: str) -> str:
+    """The SCR class letter of one codepoint, from classify_char."""
+    # Only an inherited mark's class depends on the base before it.
+    if classify_char(ch, CLASS_ARABIC) != classify_char(ch, CLASS_OTHER_LETTER):
+        return _INHERITED_LETTER
+    if unicodedata.category(ch) in _MARK_CATEGORIES:
+        return _OWN_CLASS_MARK_LETTERS[classify_char(ch)]
+    return _BASE_LETTERS[classify_char(ch)]
 
 
-_SCRIPT_CLASSES = _ScriptClassTable()
+# Codepoint -> class letter, filled on first use: all of ASCII at once, then
+# each other codepoint when a text first holds it.  Every letter is ASCII,
+# so a translation that is not ASCII still holds codepoints not yet seen.
+_SCRIPT_CLASSES: dict[int, str] = {}
+
+
+def _classify_new(chars: Iterable[str]) -> None:
+    _SCRIPT_CLASSES.update((ord(ch), _class_letter(ch)) for ch in chars)
 
 
 def _marks_after(run: re.Pattern, classes: str) -> int:
@@ -198,7 +199,12 @@ def _marks_after(run: re.Pattern, classes: str) -> int:
 
 
 def tally_scripts(text: str) -> ScriptTally:
+    if not _SCRIPT_CLASSES:
+        _classify_new(map(chr, range(128)))
     classes = text.translate(_SCRIPT_CLASSES)
+    if not classes.isascii():
+        _classify_new([ch for ch in set(classes) if not ch.isascii()])
+        classes = text.translate(_SCRIPT_CLASSES)
     arabic = classes.count("a") + classes.count("A")
     other = classes.count("o")
     digits = classes.count("d")

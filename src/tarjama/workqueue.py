@@ -19,8 +19,10 @@ does not grow with the queue's depth.
 A task holds at least ``batch_size`` units, and more only while their
 source text fits in the caller's character budget (``pack_batches``).
 Task ids are content hashes of the translator id and the batch's units
-JSON, so re-enqueueing the same units is a no-op; that JSON is encoded once
-and the pending record is written around it.
+JSON, so re-enqueueing the same units is a no-op; that JSON is joined from
+the units' own JSON texts and the pending record is written around it.  A
+claimed task keeps the unit dicts decoded from its pending record, and its
+done record adds the translation fields to those dicts.
 """
 
 from __future__ import annotations
@@ -57,14 +59,25 @@ class ResultIncompleteError(QueueError):
 
 
 class Task:
-    __slots__ = ("task_id", "translator_id", "attempt", "units")
+    """A batch of units for one translator.  ``unit_dicts`` are the units as
+    ``unit_to_dict`` gives them; a claimed task keeps the dicts it decoded
+    from its pending record, other tasks build them on first use."""
+    __slots__ = ("task_id", "translator_id", "attempt", "units", "_unit_dicts")
 
     def __init__(self, task_id: str, translator_id: str, attempt: int,
-                 units: list[TranslationUnit]) -> None:
+                 units: list[TranslationUnit],
+                 unit_dicts: Optional[list[dict]] = None) -> None:
         self.task_id = task_id
         self.translator_id = translator_id
         self.attempt = attempt
         self.units = units
+        self._unit_dicts = unit_dicts
+
+    @property
+    def unit_dicts(self) -> list[dict]:
+        if self._unit_dicts is None:
+            self._unit_dicts = [unit_to_dict(u) for u in self.units]
+        return self._unit_dicts
 
     @property
     def unit_refs(self) -> list[UnitKey]:
@@ -91,17 +104,26 @@ def init_queue(queue_dir: Union[str, Path]) -> None:
         path.mkdir(parents=True, exist_ok=True)
 
 
+def _write_temp(path: Path, text: str) -> Path:
+    """Write *text* to a fresh temp name beside *path* and return that name;
+    a write that fails leaves no temp file behind."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return tmp
+
+
 def _atomic_write_json(path: Path, text: str) -> None:
     """Write the JSON *text* to *path* through a temp name and a rename."""
-    tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.rename(tmp, path)
+    os.rename(_write_temp(path, text), path)
 
 
 def _exclusive_publish_json(path: Path, obj: dict) -> bool:
     """Atomically create *path* with *obj*; False if it already exists."""
-    tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
-    tmp.write_text(json_text(obj), encoding="utf-8")
+    tmp = _write_temp(path, json_text(obj))
     try:
         os.link(tmp, path)
         return True
@@ -116,7 +138,7 @@ def _task_to_dict(task: Task) -> dict:
         "task_id": task.task_id,
         "translator_id": task.translator_id,
         "attempt": task.attempt,
-        "units": [unit_to_dict(u) for u in task.units],
+        "units": task.unit_dicts,
     }
 
 
@@ -126,11 +148,14 @@ def _task_from_dict(obj: Mapping) -> Task:
         translator_id=obj["translator_id"],
         attempt=obj["attempt"],
         units=[unit_from_dict(u) for u in obj["units"]],
+        unit_dicts=obj["units"],
     )
 
 
-def _units_json(units: Sequence[TranslationUnit]) -> str:
-    return json_text([unit_to_dict(u) for u in units])
+def _units_json(unit_texts: Sequence[str]) -> str:
+    """A batch's units JSON from its units' JSON texts: the text that
+    ``json_text`` gives for the list of their dicts."""
+    return "[" + ", ".join(unit_texts) + "]"
 
 
 def _batch_task_id(units_json: str, translator_id: str) -> str:
@@ -175,20 +200,29 @@ def pack_batches(units: Iterable[TranslationUnit], batch_size: int,
 
 
 def enqueue(queue_dir: Union[str, Path], units: Sequence[TranslationUnit],
-            translator_id: str, batch_size: int = 8,
-            char_budget: int = 0) -> list[Task]:
+            translator_id: str, batch_size: int = 8, char_budget: int = 0,
+            unit_texts: Optional[Sequence[str]] = None) -> list[Task]:
     """Batch units into tasks with ``pack_batches`` and write them to
     pending/ atomically.
 
-    Idempotent: batches already pending or done are not re-added."""
+    *unit_texts* are the units' ``json_text(unit_to_dict(unit))`` texts,
+    for a caller that has encoded them already; they are encoded here
+    when not given.  Idempotent: batches already pending or done are not
+    re-added."""
     if not units:
         raise ValueError("cannot enqueue zero units")
+    if unit_texts is None:
+        unit_texts = [json_text(unit_to_dict(u)) for u in units]
+    elif len(unit_texts) != len(units):
+        raise ValueError("unit_texts must hold one text per unit")
     batches = list(pack_batches(units, batch_size, char_budget))
     init_queue(queue_dir)
     dirs = _dirs(queue_dir)
     tasks: list[Task] = []
+    start = 0
     for batch in batches:
-        units_json = _units_json(batch)
+        units_json = _units_json(unit_texts[start:start + len(batch)])
+        start += len(batch)
         task = Task(
             task_id=_batch_task_id(units_json, translator_id),
             translator_id=translator_id,
@@ -283,7 +317,7 @@ def _claim(dirs: dict[str, Path], task_id: str, worker_id: str, ttl: float,
         return None
     if took_over:
         task.attempt += 1
-        _atomic_write_json(pending_path, _task_json(task, _units_json(task.units)))
+        _atomic_write_json(pending_path, _task_json(task, json_text(task.unit_dicts)))
     return task
 
 
@@ -318,12 +352,8 @@ def complete(queue_dir: Union[str, Path], task: Task, worker_id: str,
         raise ResultIncompleteError(missing)
     dirs = _dirs(queue_dir)
     translator_id = task.translator_id
-    units = []
-    for unit, key in zip(task.units, keys):
-        obj = unit_to_dict(unit)
-        obj["translated_text"] = results[key]
-        obj["translator_id"] = translator_id
-        units.append(obj)
+    units = [dict(obj, translated_text=results[key], translator_id=translator_id)
+             for obj, key in zip(task.unit_dicts, keys)]
     record = {
         "task_id": task.task_id,
         "translator_id": translator_id,
@@ -346,7 +376,7 @@ def release_task(queue_dir: Union[str, Path], task: Task) -> None:
     drop its lease so any worker can claim it again."""
     dirs = _dirs(queue_dir)
     _atomic_write_json(dirs["pending"] / f"{task.task_id}.json",
-                       _task_json(task, _units_json(task.units)))
+                       _task_json(task, json_text(task.unit_dicts)))
     (dirs["leases"] / f"{task.task_id}.lock").unlink(missing_ok=True)
 
 

@@ -207,6 +207,51 @@ def test_pipeline_matches_single_stage_chain(tmp_path, staged_corpus):
         sorted(t.task_id for t in expected)
 
 
+def test_pipeline_encodes_each_unit_once_into_enqueues_pending_records(
+        tmp_path, staged_corpus, monkeypatch):
+    corpus_path, units_path, table_path, ini = staged_corpus
+    import tarjama.cli as cli
+    import tarjama.workqueue as workqueue
+    calls = []
+    for module in (cli, workqueue):
+        monkeypatch.setattr(module, "unit_to_dict",
+                            lambda unit, real=module.unit_to_dict: calls.append(1) or real(unit))
+    real_worker_loop = cli.worker_loop
+    pending = {}
+
+    def snapshot_then_drain(queue_dir, *args, **kwargs):
+        pending.update((p.name, p.read_bytes()) for p in (queue_dir / "pending").iterdir())
+        return real_worker_loop(queue_dir, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "worker_loop", snapshot_then_drain)
+    out = tmp_path / "out"
+    assert run(_pipeline_args(corpus_path, table_path, ini, out), tmp_path)[0] == 0
+    # pass 1 only: no second encoding for the task, the done record or
+    # translated_units.jsonl
+    assert len(calls) == len((out / "units.jsonl").read_text().splitlines())
+    translatable = [u for u in read_units(units_path) if u.role != "system"]
+    enqueue(tmp_path / "q1", translatable, "mock-table", batch_size=5, char_budget=5 * 9)
+    assert pending == {p.name: p.read_bytes() for p in (tmp_path / "q1" / "pending").iterdir()}
+
+
+def test_pipeline_fails_a_task_whose_translation_holds_a_lone_surrogate(tmp_path, capsys):
+    conv = make_conversation("c1", contents=[("user", "hello there"), ("assistant", "ok")])
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text(corpus_jsonl([conv]), encoding="utf-8")
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps({"hello there": "\ud800 bad"}), encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["pipeline", "--input", str(corpus_path), "--out", str(out),
+            "--backend", "mock-table", "--table", str(table_path)]
+    for _ in range(2):  # a rerun on the same queue finds no lease left behind
+        rc, _ = run(args, tmp_path)
+        assert rc == 1
+        assert "has no done/ record" in capsys.readouterr().err
+        queue = out / "queue"
+        assert [len(list((queue / d).iterdir())) for d in ("pending", "leases", "done",
+                                                          "failed")] == [0, 0, 0, 1]
+
+
 def test_pipeline_exits_1_naming_a_task_without_done_record(
         tmp_path, staged_corpus, monkeypatch, capsys):
     corpus_path, _, table_path, ini = staged_corpus

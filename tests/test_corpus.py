@@ -11,7 +11,7 @@ from tarjama.corpus import (Candidate, Conversation, CorpusError,
                             StructureMismatchError, ThinkSpanError,
                             UnitConsistencyError,
                             decompose, group_units_by_conversation,
-                            identity_translate, join_parts, parse_corpus,
+                            identity_translate, join_parts, json_text, parse_corpus,
                             reconstruct, split_parts,
                             unit_from_dict, unit_to_dict,
                             validate_candidate_structure)
@@ -254,3 +254,15 @@ def test_conversation_requires_contiguous_indices():
     with pytest.raises(ValueError):
         Conversation(id="x", split="s", messages=[
             Message(role="user", content="a", index=1)])
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner,
+                                                                max_size=4),
+    max_leaves=20)
+
+
+@given(json_values)
+def test_json_text_writes_what_json_dumps_writes(value):
+    assert json_text(value) == json.dumps(value, ensure_ascii=False)

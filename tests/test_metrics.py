@@ -6,7 +6,7 @@ import unicodedata
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tarjama import uniscript
+from tarjama import metrics, uniscript
 from tarjama.corpus import Candidate
 from tarjama.metrics import (_STRIP_PATTERNS, CLASS_ARABIC, CLASS_ASCII_DIGIT,
                              CLASS_IGNORE, CLASS_OTHER_LETTER, LrInputs, ScrParams,
@@ -359,7 +359,9 @@ stress_text = st.text(
 @given(stress_text)
 @settings(max_examples=500)
 def test_tally_scripts_matches_reference(text):
+    metrics._SCRIPT_CLASSES.clear()  # fill the class table from empty
     assert tally_scripts(text) == reference_tally_scripts(text)
+    assert tally_scripts(text) == reference_tally_scripts(text)  # and from full
 
 
 @given(stress_text)

@@ -13,9 +13,11 @@ from test_chunking import DENSE_PIECES, small_policies
 from tarjama.backends import BackendError, BudgetExceededError, TranslatorBackend
 from tarjama.chunking import plan_chunks
 from tarjama.cli import main
-from tarjama.corpus import TranslationUnit, unit_to_dict, write_units
+from tarjama.corpus import (TranslationUnit, identity_translate, unit_to_dict,
+                            write_units)
 from tarjama.tokenizers import TokenizerSpec, count_tokens
-from tarjama.workqueue import (ResultIncompleteError, _task_to_dict, acquire,
+from tarjama.workqueue import (ResultIncompleteError, _atomic_write_json,
+                               _exclusive_publish_json, _task_to_dict, acquire,
                                complete, enqueue, fail_task, init_queue,
                                pack_batches, queue_status, release_task,
                                worker_loop)
@@ -175,16 +177,44 @@ def test_task_id_hashes_translator_id_and_units_json(tmp_path):
 
 
 def test_done_record_adds_translation_fields_to_each_unit(tmp_path):
-    (task,) = enqueue(tmp_path, make_units(4, texts=ODD_TEXTS), "seed", batch_size=4)
-    task = acquire(tmp_path, "w1")
+    clock = FakeClock()
+    units = make_units(4, texts=ODD_TEXTS)
+    units.append(identity_translate(make_units(1, conv="d")[0], "earlier"))
+    (task,) = enqueue(tmp_path, units, "seed", batch_size=5)
+    acquire(tmp_path, "w1", ttl=60, now=clock)
+    clock.advance(61)
+    task = acquire(tmp_path, "w2", ttl=60, now=clock)  # takeover rewrites pending/
+    task.attempt += 1
+    release_task(tmp_path, task)  # and so does a release
+    task = acquire(tmp_path, "w3", ttl=60, now=clock)
     results = {u.key: u.source_text[::-1] for u in task.units}
-    assert complete(tmp_path, task, "w1", results)
-    record = {"task_id": task.task_id, "translator_id": "seed", "worker_id": "w1",
-              "attempt": 0,
+    assert complete(tmp_path, task, "w3", results)
+    record = {"task_id": task.task_id, "translator_id": "seed", "worker_id": "w3",
+              "attempt": 2,
               "units": [dict(unit_to_dict(u), translated_text=results[u.key],
-                             translator_id="seed") for u in task.units]}
+                             translator_id="seed") for u in units]}
     done = tmp_path / "done" / f"{task.task_id}.json"
     assert done.read_text(encoding="utf-8") == json.dumps(record, ensure_ascii=False)
+
+
+def test_failed_writes_leave_no_temp_file(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write_json(tmp_path / "a.json", '"\ud800"')
+    with pytest.raises(UnicodeEncodeError):
+        _exclusive_publish_json(tmp_path / "b.json", {"text": "\ud800"})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_translation_with_lone_surrogate_fails_its_task(tmp_path):
+    enqueue(tmp_path, make_units(2), "seed", batch_size=2)
+    backend = TranslatorBackend(id="seed", kind="mock-table",
+                                table={"text 1": "\ud800 bad"})
+    assert worker_loop(tmp_path, backend, "w1", max_attempts=3) == 0
+    assert queue_status(tmp_path) == {"pending": 0, "leased": 0, "done": 0, "failed": 1}
+    assert list((tmp_path / "done").iterdir()) == []
+    (failed,) = (tmp_path / "failed").iterdir()
+    record = json.loads(failed.read_text(encoding="utf-8"))
+    assert record["attempt"] == 3 and "unpaired surrogates" in record["reason"]
 
 
 def test_complete_partial_results_rejected(tmp_path):

@@ -51,7 +51,7 @@ def _perfbench_stdout(wall: float, rss: float) -> str:
     return f"workload many-short seed 1: ...\nsha256 ...\n{json.dumps(result)}\n"
 
 
-def test_bench_pairs_summary_of_canned_runs():
+def test_bench_pairs_summary_of_canned_runs(tmp_path, monkeypatch, capsys):
     bench = _bench_pairs()
     metrics = [{"name": "wall_s", "better": "lower"},
                {"name": "peak_rss_mb", "better": "lower"}]
@@ -68,3 +68,25 @@ def test_bench_pairs_summary_of_canned_runs():
     pairs[4] = (pairs[4][0], bench.parse_run(_perfbench_stdout(1.7, 30.0)))
     assert bench.summarize(pairs, metrics)[0]["gain"]
     assert "wall_s" in bench.format_summary(bench.summarize(pairs, metrics))
+
+    # Several --workload flags: the pairs of each in turn, one block each.
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
+    base, change = tmp_path / "base", tmp_path
+    walls = {"many-short": {base: 2.0, change: 1.5}, "long-think": {base: 1.0, change: 1.1}}
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds):
+        runs.append((workload, "base" if checkout == base else "change"))
+        return bench.parse_run(_perfbench_stdout(walls[workload][checkout], 30.0))
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", str(base), str(change),
+                                      "--workload", "many-short", "--workload",
+                                      "long-think", "--pairs", "2"])
+    assert bench.main() == 0
+    assert runs == [(w, side) for w in ("many-short", "long-think")
+                    for side in ("base", "change", "change", "base")]
+    blocks = capsys.readouterr().out.split(" summary, seed 1:\n")
+    assert [b.splitlines()[-1].split()[0] for b in blocks[:-1]] == ["many-short",
+                                                                   "long-think"]
+    assert "GAIN" in blocks[1].splitlines()[0] and "GAIN" not in blocks[2]

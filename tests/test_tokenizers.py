@@ -53,6 +53,12 @@ def test_builtin_tokenize_matches_match_ends(text):
     assert tokenize(text, BUILTIN) == [m.end() for m in _TOKEN_RE.finditer(text)]
 
 
+@given(st.text(max_size=200) | st.text(alphabet=" \t\n\u00a0\u3000_.,aZ9٣مرحبا\u064e",
+                                     max_size=200))
+def test_builtin_count_tokens_counts_the_tokens(text):
+    assert count_tokens(text, BUILTIN) == len(tokenize(text, BUILTIN))
+
+
 @given(st.text(max_size=100))
 def test_determinism(text):
     assert tokenize(text, BUILTIN) == tokenize(text, BUILTIN)
