@@ -22,7 +22,8 @@ from typing import Iterable, Iterator, Optional
 from . import __version__, uniscript
 from .backends import BackendError, HttpRewardScorer, TranslatorBackend
 from .chunking import ChunkPolicy, fits_one_chunk, plan_chunks
-from .config import BackendConfig, ConfigurationError, PipelineConfig, load_config, _parse_ratios
+from .config import (BackendConfig, ConfigurationError, PipelineConfig, checked_alpha,
+                     checked_tau, checked_weights, load_config, _parse_ratios)
 from .corpus import (Candidate, Conversation, CorpusError, TranslatedUnit,
                      conversation_from_dict, conversation_to_dict, decompose,
                      group_units_by_conversation, identity_translate,
@@ -32,7 +33,7 @@ from .corpus import (Candidate, Conversation, CorpusError, TranslatedUnit,
 from .metrics import QualityScore
 from .ranking import (FitError, PreferenceRecord, bt_fit, rank_rows, row_field,
                       row_quality, score_row)
-from .stats import (FilterPolicy, ReportMeta, StrataPolicy, aggregate_split,
+from .stats import (ReportMeta, StrataPolicy, aggregate_split,
                     apply_filter, emit_report, stratified_sample,
                     summarize_config)
 from .tokenizers import TokenizerSpec
@@ -74,18 +75,6 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _chunk_policy(args, cfg: PipelineConfig) -> ChunkPolicy:
-    base = cfg.chunk_policy
-    return ChunkPolicy(
-        target_tokens=base.target_tokens if args.target_tokens is None
-        else args.target_tokens,
-        window_tokens=base.window_tokens if args.window_tokens is None
-        else args.window_tokens,
-        hard_cap_tokens=base.hard_cap_tokens if args.hard_cap_tokens is None
-        else args.hard_cap_tokens,
-    )
-
-
 def _backend_from_config(bc: BackendConfig) -> TranslatorBackend:
     table = {}
     if bc.table_path:
@@ -97,30 +86,55 @@ def _backend_from_config(bc: BackendConfig) -> TranslatorBackend:
     )
 
 
-def _resolve_backend(args, cfg: PipelineConfig) -> TranslatorBackend:
-    bc = cfg.backend
-    if getattr(args, "backend", None):
-        kind = args.backend
-        bc = bc._replace(kind=kind, id=getattr(args, "translator_id", None) or kind)
-    if getattr(args, "endpoint", None):
-        bc = bc._replace(kind="http-endpoint", endpoint=args.endpoint)
-    if getattr(args, "model", None):
-        bc = bc._replace(model=args.model)
-    if getattr(args, "table", None):
-        bc = bc._replace(kind="mock-table", table_path=args.table)
-    return _backend_from_config(bc)
+def _parse_weights(value: str) -> tuple[float, float, float]:
+    parts = [float(x) for x in value.split(",")]
+    if len(parts) != 3:
+        raise ValueError("weights must be three comma-separated numbers")
+    return checked_weights(parts)
+
+
+# Override flags whose dest is the config field they replace, each with
+# the check its config value passes too.
+_FIELD_FLAGS = {"batch_size": None, "ttl_seconds": None, "alpha": checked_alpha,
+                "tau": checked_tau, "combine_weights": _parse_weights,
+                "strata_ratios": _parse_ratios, "sample_total": None, "seed": None,
+                "translate_system_messages": None, "strict": None}
+
+
+def _apply_flags(args, cfg: PipelineConfig) -> None:
+    """Put every override flag the user gave in place of the config value
+    it overrides.  An override flag left at None was not given; the
+    handlers and the run manifest read only the resulting config."""
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    for name, check in _FIELD_FLAGS.items():
+        if name in given:
+            setattr(cfg, name, given[name] if check is None else check(given[name]))
+    policy = cfg.chunk_policy
+    if given.keys() & set(policy.__slots__):
+        cfg.chunk_policy = ChunkPolicy(*(given.get(name, getattr(policy, name))
+                                         for name in policy.__slots__))
+    cfg.filter_policy = cfg.filter_policy._replace(**{
+        name: given[name] for name in ("min_lr", "min_scr", "reject_cjk") if name in given})
+    backend = cfg.backend
+    if "backend" in given:
+        backend = backend._replace(kind=given["backend"], id=given["backend"])
+    if "endpoint" in given:
+        backend = backend._replace(kind="http-endpoint", endpoint=given["endpoint"])
+    if "table" in given:
+        backend = backend._replace(kind="mock-table", table_path=given["table"])
+    cfg.backend = backend._replace(id=given.get("backend_id", backend.id),
+                                   model=given.get("model", backend.model))
 
 
 # -- subcommand handlers -----------------------------------------------------
 
 
 def cmd_decompose(args, cfg: PipelineConfig) -> int:
-    policy = _chunk_policy(args, cfg)
     conversations = load_corpus(args.input, strict=cfg.strict)
     units = []
     for conv in conversations:
         units.extend(decompose(conv, build_chunk_plan(
-            conv, cfg.chunking_tokenizer, policy)))
+            conv, cfg.chunking_tokenizer, cfg.chunk_policy)))
     write_units(units, args.units_out)
     print(f"decomposed {len(conversations)} conversations into {len(units)} units")
     return 0
@@ -128,19 +142,16 @@ def cmd_decompose(args, cfg: PipelineConfig) -> int:
 
 def cmd_enqueue(args, cfg: PipelineConfig) -> int:
     units = list(read_units(args.units))
-    batch_size = cfg.batch_size if args.batch_size is None else args.batch_size
-    tasks = enqueue(args.queue, units, args.translator_id, batch_size=batch_size,
-                    char_budget=batch_size * cfg.chunk_policy.hard_cap_tokens)
+    tasks = enqueue(args.queue, units, args.translator_id, batch_size=cfg.batch_size,
+                    char_budget=cfg.batch_size * cfg.chunk_policy.hard_cap_tokens)
     print(f"enqueued {len(units)} units as {len(tasks)} tasks in {args.queue}")
     return 0
 
 
 def cmd_work(args, cfg: PipelineConfig) -> int:
-    backend = _resolve_backend(args, cfg)
     processed = worker_loop(
-        args.queue, backend, worker_id=args.worker_id,
-        ttl=args.ttl if args.ttl is not None else cfg.ttl_seconds,
-        max_attempts=cfg.max_attempts,
+        args.queue, _backend_from_config(cfg.backend), worker_id=args.worker_id,
+        ttl=cfg.ttl_seconds, max_attempts=cfg.max_attempts,
         prompt_template=cfg.prompt_template,
         target_language=cfg.target_language,
     )
@@ -151,7 +162,8 @@ def cmd_work(args, cfg: PipelineConfig) -> int:
 def _done_unit_dicts(queue_dir,
                      task_ids: Optional[Iterable[str]] = None) -> Iterator[dict]:
     """The unit dicts of ``read_done_units``, each checked to hold a
-    translation."""
+    translation.  A missing record's error quotes the reason of the task's
+    failed/ record, if it has one."""
     done = Path(queue_dir) / "done"
     paths = (sorted(done.glob("*.json")) if task_ids is None
              else (done / f"{task_id}.json" for task_id in task_ids))
@@ -159,7 +171,12 @@ def _done_unit_dicts(queue_dir,
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
-            raise CorpusError(f"task {path.stem} has no done/ record") from None
+            message = f"task {path.stem} has no done/ record"
+            failed = Path(queue_dir) / "failed" / path.name
+            if failed.is_file():
+                record = json.loads(failed.read_text(encoding="utf-8"))
+                message += f"; its failed/ record says: {record['reason']}"
+            raise CorpusError(message) from None
         for obj in record["units"]:
             if "translated_text" not in obj:
                 raise CorpusError(f"{path}: done record holds a unit "
@@ -216,8 +233,6 @@ def _load_candidates(path: str) -> list[Candidate]:
 
 
 def cmd_score(args, cfg: PipelineConfig) -> int:
-    alpha = args.alpha if args.alpha is not None else cfg.alpha
-    tau = args.tau if args.tau is not None else cfg.tau
     scorer = HttpRewardScorer(args.reward_endpoint) if args.reward_endpoint else None
     sources = {c.id: c for c in load_corpus(args.corpus, strict=cfg.strict)}
     rows = []
@@ -226,30 +241,20 @@ def cmd_score(args, cfg: PipelineConfig) -> int:
         if source is None:
             raise CorpusError(
                 f"candidate references unknown conversation {candidate.conversation_id!r}")
-        rows.append(score_row(source, candidate, alpha, tau,
+        rows.append(score_row(source, candidate, cfg.alpha, cfg.tau,
                               cfg.analysis_tokenizer, scorer))
     write_jsonl(rows, args.out)
     print(f"scored {len(rows)} candidates")
     return 0
 
 
-def _parse_weights(value: Optional[str], cfg: PipelineConfig):
-    if not value:
-        return cfg.combine_weights
-    parts = [float(x) for x in value.split(",")]
-    if len(parts) != 3:
-        raise ValueError("weights must be three comma-separated numbers")
-    return tuple(parts)
-
-
 def cmd_rank(args, cfg: PipelineConfig) -> int:
-    weights = _parse_weights(args.weights, cfg)
     by_conv: dict[str, list[dict]] = {}
     for row in _read_jsonl(args.scored):
         by_conv.setdefault(row_field(row, "conversation_id"), []).append(row)
     winners, rankings = [], []
     for conv_id, rows in by_conv.items():
-        scored = rank_rows(rows, weights)
+        scored = rank_rows(rows, cfg.combine_weights)
         winners.append({"conversation_id": conv_id, "translator_id": scored[0][0]})
         rankings.append({
             "conversation_id": conv_id,
@@ -316,13 +321,7 @@ def cmd_stats(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_filter(args, cfg: PipelineConfig) -> int:
-    policy = FilterPolicy(
-        min_lr=cfg.filter_policy.min_lr if args.min_lr is None else args.min_lr,
-        min_scr=cfg.filter_policy.min_scr if args.min_scr is None else args.min_scr,
-        reject_cjk=cfg.filter_policy.reject_cjk if args.reject_cjk is None
-        else args.reject_cjk,
-        per_split_overrides=cfg.filter_policy.per_split_overrides,
-    )
+    policy = cfg.filter_policy
     conversations = load_corpus(args.corpus, strict=cfg.strict)
     scores: dict[str, QualityScore] = {}
     for row in _read_jsonl(args.scored):
@@ -348,16 +347,13 @@ def cmd_filter(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_sample(args, cfg: PipelineConfig) -> int:
-    ratios = _parse_ratios(args.ratios) if args.ratios else cfg.strata_ratios
-    policy = StrataPolicy(ratios=ratios, total=cfg.sample_total
-                          if args.total is None else args.total)
-    seed = cfg.seed if args.seed is None else args.seed
+    policy = StrataPolicy(ratios=cfg.strata_ratios, total=cfg.sample_total)
     conversations = load_corpus(args.corpus, strict=cfg.strict)
-    sampled = stratified_sample(conversations, policy, seed=seed,
+    sampled = stratified_sample(conversations, policy, seed=cfg.seed,
                                 strict=not args.allow_shortfall)
     write_corpus(sampled, args.out)
     print(f"sampled {len(sampled)} of {len(conversations)} examples "
-          f"(ratios={ratios}, seed={seed})")
+          f"(ratios={cfg.strata_ratios}, seed={cfg.seed})")
     return 0
 
 
@@ -369,14 +365,13 @@ def cmd_queue_status(args, cfg: PipelineConfig) -> int:
 def cmd_pipeline(args, cfg: PipelineConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    backend = _resolve_backend(args, cfg)
-    policy = _chunk_policy(args, cfg)
+    backend = _backend_from_config(cfg.backend)
+    policy = cfg.chunk_policy
     if backend.max_input_tokens < policy.hard_cap_tokens:
         raise ValueError(
             f"backend input window ({backend.max_input_tokens} tokens) is smaller "
             f"than the chunk hard cap ({policy.hard_cap_tokens}); lower "
             f"--hard-cap-tokens or raise max_input_tokens")
-    translate_system = cfg.translate_system_messages and not args.no_translate_system
 
     conversations = load_corpus(args.input, strict=cfg.strict)
     queue_dir = out / "queue"
@@ -396,7 +391,7 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
                 obj = unit_to_dict(unit)
                 text = json_text(obj)
                 units_fh.write(text + "\n")
-                if unit.role == "system" and not translate_system:
+                if unit.role == "system" and not cfg.translate_system_messages:
                     passthrough.setdefault(conv.id, []).append((
                         identity_translate(unit, "passthrough"),
                         dict(obj, translated_text=unit.source_text,
@@ -469,7 +464,7 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="INI config file")
     sub.add_argument("--manifest", help="run manifest path (JSONL, appended)")
-    sub.add_argument("--lenient", action="store_true",
+    sub.add_argument("--lenient", dest="strict", action="store_false", default=None,
                      help="skip malformed corpus lines with a logged report "
                           "instead of failing")
 
@@ -506,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("work", help="run one worker until the queue drains")
     p.add_argument("--queue", required=True)
     p.add_argument("--worker-id", required=True)
-    p.add_argument("--ttl", type=float, default=None)
+    p.add_argument("--ttl", dest="ttl_seconds", type=float)
     p.add_argument("--backend", choices=("mock-identity", "mock-table", "http-endpoint"))
     p.add_argument("--endpoint")
     p.add_argument("--model")
@@ -515,8 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_work)
 
     p = sub.add_parser("reconstruct", help="rebuild conversations from translated units")
-    p.add_argument("--translated-units")
-    p.add_argument("--from-queue", help="queue dir to collect done/ records from")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--translated-units")
+    source.add_argument("--from-queue", help="queue dir to collect done/ records from")
     p.add_argument("--corpus", help="source corpus for split labels and ordering")
     p.add_argument("--out", required=True)
     _add_common(p)
@@ -537,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scored", required=True)
     p.add_argument("--winners-out", required=True)
     p.add_argument("--ranking-out")
-    p.add_argument("--weights", help="lr,scr,rm weights (default 1,1,2)")
+    p.add_argument("--weights", dest="combine_weights",
+                   help="lr,scr,rm weights (default: [ranking], else 1,1,2)")
     _add_common(p)
     p.set_defaults(handler=cmd_rank)
 
@@ -568,15 +565,16 @@ def build_parser() -> argparse.ArgumentParser:
     cjk = p.add_mutually_exclusive_group()
     cjk.add_argument("--reject-cjk", dest="reject_cjk", action="store_true",
                      default=None)
-    cjk.add_argument("--keep-cjk", dest="reject_cjk", action="store_false")
+    cjk.add_argument("--keep-cjk", dest="reject_cjk", action="store_false",
+                     default=None)
     _add_common(p)
     p.set_defaults(handler=cmd_filter)
 
     p = sub.add_parser("sample", help="stratified sample by category labels")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--ratios", help="e.g. code:1,science:1,math:2")
-    p.add_argument("--total", type=int, default=None)
+    p.add_argument("--ratios", dest="strata_ratios", help="e.g. code:1,science:1,math:2")
+    p.add_argument("--total", dest="sample_total", type=int)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--allow-shortfall", action="store_true")
     _add_common(p)
@@ -591,14 +589,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--backend", choices=("mock-identity", "mock-table", "http-endpoint"),
-                   default="mock-identity")
+                   help="default: [backend], else mock-identity")
     p.add_argument("--endpoint")
     p.add_argument("--model")
     p.add_argument("--table")
-    p.add_argument("--translator-id")
+    p.add_argument("--translator-id", dest="backend_id")
     p.add_argument("--format", choices=("markdown", "csv", "json"),
                    default="markdown")
-    p.add_argument("--no-translate-system", action="store_true",
+    p.add_argument("--no-translate-system", dest="translate_system_messages",
+                   action="store_false", default=None,
                    help="pass system messages through untranslated")
     _add_chunk_flags(p)
     _add_common(p)
@@ -659,9 +658,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "lenient", False):
-        cfg.strict = False
     try:
+        _apply_flags(args, cfg)
         rc = args.handler(args, cfg)
     except (ConfigurationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

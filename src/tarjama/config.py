@@ -8,10 +8,13 @@ import json
 from pathlib import Path
 from typing import NamedTuple, Optional
 
+from .backends import DEFAULT_MAX_INPUT_TOKENS, DEFAULT_TEMPERATURE
 from .chunking import ChunkPolicy
-from .metrics import DEFAULT_ALPHA, DEFAULT_TAU
+from .metrics import DEFAULT_ALPHA, DEFAULT_TAU, LrInputs, ScrParams
+from .ranking import DEFAULT_WEIGHTS, combine_scores
 from .stats import FilterPolicy
 from .tokenizers import ConfigurationError, TokenizerSpec
+from .workqueue import DEFAULT_MAX_ATTEMPTS, DEFAULT_TTL_SECONDS
 
 
 class BackendConfig(NamedTuple):
@@ -19,8 +22,8 @@ class BackendConfig(NamedTuple):
     kind: str = "mock-identity"
     endpoint: Optional[str] = None
     model: Optional[str] = None
-    temperature: float = 0.2
-    max_input_tokens: int = 512
+    temperature: float = DEFAULT_TEMPERATURE
+    max_input_tokens: int = DEFAULT_MAX_INPUT_TOKENS
     api_key_env: Optional[str] = None
     table_path: Optional[str] = None
 
@@ -37,9 +40,10 @@ class PipelineConfig:
                  chunk_policy: Optional[ChunkPolicy] = None,
                  alpha: float = DEFAULT_ALPHA, tau: float = DEFAULT_TAU,
                  backend: BackendConfig = BackendConfig(),
-                 ttl_seconds: float = 1800.0, max_attempts: int = 3,
+                 ttl_seconds: float = DEFAULT_TTL_SECONDS,
+                 max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                  batch_size: int = 8,
-                 combine_weights: tuple[float, float, float] = (1.0, 1.0, 2.0),
+                 combine_weights: tuple[float, float, float] = DEFAULT_WEIGHTS,
                  filter_policy: FilterPolicy = FilterPolicy(),
                  strata_ratios: Optional[dict[str, int]] = None,
                  sample_total: int = 200, seed: int = 0, strict: bool = True,
@@ -105,7 +109,7 @@ def _parse_ratios(value: str) -> dict[str, int]:
         name, _, count = item.partition(":")
         ratios[name.strip()] = int(count)
     if not ratios:
-        raise ConfigurationError(f"cannot parse ratios from {value!r}")
+        raise ValueError(f"cannot parse ratios from {value!r}")
     return ratios
 
 
@@ -118,17 +122,30 @@ def _checked(where: str, convert, *args):
         raise ConfigurationError(f"{where}: {exc}") from None
 
 
-def _get(section, key: str, default, kind: str):
-    """``section.get<kind>(key, default)``; a value it cannot parse is a
-    ``ConfigurationError`` naming the section and the key."""
-    return _checked(f"[{section.name}] {key}", getattr(section, "get" + kind),
-                    key, default)
+def checked_alpha(alpha: float) -> float:
+    """*alpha*, or the ``ValueError`` that ``LrInputs`` raises for it."""
+    return LrInputs(0, 0, 0, 0, alpha).alpha
+
+
+def checked_tau(tau: float) -> float:
+    """*tau*, or the ``ValueError`` that ``ScrParams`` raises for it."""
+    return ScrParams(tau).tau
+
+
+def checked_weights(weights) -> tuple[float, float, float]:
+    """*weights*, or the ``ValueError`` that ``combine_scores`` raises for
+    them on a row with a reward score (without one, it also needs a
+    positive LR or SCR weight, which only the rows can tell)."""
+    combine_scores(0.0, 0.0, 0.0, weights)
+    return tuple(weights)
 
 
 def load_config(path: Optional[str] = None) -> PipelineConfig:
     """Load configuration from an INI file; missing file is an error and
-    missing keys fall back to defaults.  A file that ConfigParser rejects, or
-    a value it cannot parse or validate, is a ConfigurationError."""
+    missing keys fall back to defaults.  A file that ConfigParser rejects,
+    a value it cannot parse or validate, or a section or key that nothing
+    here reads is a ConfigurationError naming the section and the key;
+    only the split names of ``[filter.overrides]`` are free."""
     cfg = PipelineConfig()
     if path is None:
         return cfg
@@ -145,83 +162,85 @@ def load_config(path: Optional[str] = None) -> PipelineConfig:
     except configparser.Error as exc:
         where = f"[{exc.section}] {exc.option}" if hasattr(exc, "option") else path
         raise ConfigurationError(f"{where}: {exc}") from None
+    known: set[tuple[str, str]] = set()
 
-    if parser.has_section("tokenizers"):
-        section = parser["tokenizers"]
-        if "chunking" in section:
-            cfg.chunking_tokenizer = _tokenizer_from_value(section["chunking"])
-        if "analysis" in section:
-            cfg.analysis_tokenizer = _tokenizer_from_value(section["analysis"])
-    if parser.has_section("chunking"):
-        section = parser["chunking"]
-        base = cfg.chunk_policy
-        cfg.chunk_policy = _checked(
-            "[chunking]", ChunkPolicy,
-            _get(section, "target_tokens", base.target_tokens, "int"),
-            _get(section, "window_tokens", base.window_tokens, "int"),
-            _get(section, "hard_cap_tokens", base.hard_cap_tokens, "int"))
-    if parser.has_section("metrics"):
-        section = parser["metrics"]
-        cfg.alpha = _get(section, "alpha", cfg.alpha, "float")
-        cfg.tau = _get(section, "tau", cfg.tau, "float")
-    if parser.has_section("backend"):
-        section = parser["backend"]
-        table_path = section.get("table_path", None)
-        if table_path and not Path(table_path).is_file():
-            raise ConfigurationError(f"backend table file not found: {table_path}")
-        cfg.backend = BackendConfig(
-            id=section.get("id", cfg.backend.id),
-            kind=section.get("kind", cfg.backend.kind),
-            endpoint=section.get("endpoint", None) or None,
-            model=section.get("model", None) or None,
-            temperature=_get(section, "temperature", cfg.backend.temperature, "float"),
-            max_input_tokens=_get(section, "max_input_tokens",
-                                  cfg.backend.max_input_tokens, "int"),
-            api_key_env=section.get("api_key_env", None) or None,
-            table_path=table_path,
-        )
-    if parser.has_section("queue"):
-        section = parser["queue"]
-        cfg.ttl_seconds = _get(section, "ttl_seconds", cfg.ttl_seconds, "float")
-        cfg.max_attempts = _get(section, "max_attempts", cfg.max_attempts, "int")
-        cfg.batch_size = _get(section, "batch_size", cfg.batch_size, "int")
-    if parser.has_section("ranking"):
-        section = parser["ranking"]
-        cfg.combine_weights = (
-            _get(section, "weight_lr", cfg.combine_weights[0], "float"),
-            _get(section, "weight_scr", cfg.combine_weights[1], "float"),
-            _get(section, "weight_rm", cfg.combine_weights[2], "float"),
-        )
-    if parser.has_section("filter") or parser.has_section("filter.overrides"):
-        policy = cfg.filter_policy
-        if parser.has_section("filter"):
-            section = parser["filter"]
-            policy = policy._replace(
-                min_lr=_get(section, "min_lr", policy.min_lr, "float"),
-                min_scr=_get(section, "min_scr", policy.min_scr, "float"),
-                reject_cjk=_get(section, "reject_cjk", policy.reject_cjk, "boolean"))
+    def get(name: str, key: str, default=None, kind: str = "", check=None):
+        """``[name] key`` parsed by ``get<kind>`` and then *check*, or
+        *default* when the file does not set it."""
+        known.add((name, key))
+        if not parser.has_option(name, key):
+            return default
+        where = f"[{name}] {key}"
+        value = _checked(where, getattr(parser[name], "get" + kind), key)
+        return value if check is None else _checked(where, check, value)
+
+    def own_keys(name: str) -> list[str]:
+        """The keys that section *name* sets itself, not through [DEFAULT]."""
+        return [key for key in parser.options(name) if key not in parser.defaults()]
+
+    for use in ("chunking", "analysis"):
+        value = get("tokenizers", use)
+        if value is not None:
+            setattr(cfg, f"{use}_tokenizer", _tokenizer_from_value(value))
+    base = cfg.chunk_policy
+    cfg.chunk_policy = _checked(
+        "[chunking]", ChunkPolicy,
+        get("chunking", "target_tokens", base.target_tokens, "int"),
+        get("chunking", "window_tokens", base.window_tokens, "int"),
+        get("chunking", "hard_cap_tokens", base.hard_cap_tokens, "int"))
+    cfg.alpha = get("metrics", "alpha", cfg.alpha, "float", checked_alpha)
+    cfg.tau = get("metrics", "tau", cfg.tau, "float", checked_tau)
+    table_path = get("backend", "table_path")
+    if table_path and not Path(table_path).is_file():
+        raise ConfigurationError(f"backend table file not found: {table_path}")
+    cfg.backend = BackendConfig(
+        id=get("backend", "id", cfg.backend.id),
+        kind=get("backend", "kind", cfg.backend.kind),
+        endpoint=get("backend", "endpoint") or None,
+        model=get("backend", "model") or None,
+        temperature=get("backend", "temperature", cfg.backend.temperature, "float"),
+        max_input_tokens=get("backend", "max_input_tokens",
+                             cfg.backend.max_input_tokens, "int"),
+        api_key_env=get("backend", "api_key_env") or None,
+        table_path=table_path,
+    )
+    cfg.ttl_seconds = get("queue", "ttl_seconds", cfg.ttl_seconds, "float")
+    cfg.max_attempts = get("queue", "max_attempts", cfg.max_attempts, "int")
+    cfg.batch_size = get("queue", "batch_size", cfg.batch_size, "int")
+    keys = ("weight_lr", "weight_scr", "weight_rm")
+    weights = [get("ranking", key, default, "float")
+               for key, default in zip(keys, cfg.combine_weights)]
+    given = ", ".join(key for key in keys if parser.has_option("ranking", key))
+    cfg.combine_weights = _checked(f"[ranking] {given}", checked_weights, weights)
+    policy = cfg.filter_policy
+    cfg.filter_policy = policy._replace(
+        min_lr=get("filter", "min_lr", policy.min_lr, "float"),
+        min_scr=get("filter", "min_scr", policy.min_scr, "float"),
+        reject_cjk=get("filter", "reject_cjk", policy.reject_cjk, "boolean"))
+    if parser.has_section("filter.overrides"):
+        # one line per split: <split> = <min_lr>,<min_scr>
         overrides: dict[str, tuple[float, float]] = {}
-        if parser.has_section("filter.overrides"):
-            # one line per split: <split> = <min_lr>,<min_scr>
-            for split, value in parser["filter.overrides"].items():
-                lr_s, _, scr_s = value.partition(",")
-                overrides[split] = _checked(f"[filter.overrides] {split}",
-                                            lambda: (float(lr_s), float(scr_s)))
-        cfg.filter_policy = policy._replace(per_split_overrides=overrides)
-    if parser.has_section("sample"):
-        section = parser["sample"]
-        if "ratios" in section:
-            cfg.strata_ratios = _checked("[sample] ratios", _parse_ratios,
-                                         section["ratios"])
-        cfg.sample_total = _get(section, "total", cfg.sample_total, "int")
-    if parser.has_section("run"):
-        section = parser["run"]
-        cfg.seed = _get(section, "seed", cfg.seed, "int")
-        cfg.strict = _get(section, "strict", cfg.strict, "boolean")
-        cfg.translate_system_messages = _get(
-            section, "translate_system_messages", cfg.translate_system_messages,
-            "boolean")
-        cfg.prompt_template = section.get("prompt_template", cfg.prompt_template)
-        cfg.target_language = section.get("target_language", cfg.target_language)
-        cfg.manifest_path = section.get("manifest", cfg.manifest_path)
+        for split in own_keys("filter.overrides"):
+            lr_s, _, scr_s = parser["filter.overrides"][split].partition(",")
+            overrides[split] = _checked(f"[filter.overrides] {split}",
+                                        lambda: (float(lr_s), float(scr_s)))
+        cfg.filter_policy = cfg.filter_policy._replace(per_split_overrides=overrides)
+    cfg.strata_ratios = get("sample", "ratios", cfg.strata_ratios, check=_parse_ratios)
+    cfg.sample_total = get("sample", "total", cfg.sample_total, "int")
+    cfg.seed = get("run", "seed", cfg.seed, "int")
+    cfg.strict = get("run", "strict", cfg.strict, "boolean")
+    cfg.translate_system_messages = get(
+        "run", "translate_system_messages", cfg.translate_system_messages, "boolean")
+    cfg.prompt_template = get("run", "prompt_template", cfg.prompt_template)
+    cfg.target_language = get("run", "target_language", cfg.target_language)
+    cfg.manifest_path = get("run", "manifest", cfg.manifest_path)
+
+    for name in parser.sections():
+        if name == "filter.overrides":  # its keys are split names
+            continue
+        if name not in {section for section, _ in known}:
+            raise ConfigurationError(f"[{name}]: unknown section")
+        for key in own_keys(name):
+            if (name, key) not in known:
+                raise ConfigurationError(f"[{name}] {key}: unknown key")
     return cfg

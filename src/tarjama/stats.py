@@ -11,7 +11,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 from . import uniscript
 from .corpus import Conversation
-from .metrics import QualityScore, contains_cjk
+from .metrics import DEFAULT_ALPHA, DEFAULT_TAU, QualityScore, contains_cjk
 
 T = TypeVar("T")
 
@@ -221,8 +221,8 @@ def stratified_sample(examples: Sequence[T], policy: StrataPolicy, seed: int,
 
 class ReportMeta(NamedTuple):
     tokenizer_name: str = "builtin-ws"
-    alpha: float = 1.25
-    tau: float = 0.90
+    alpha: float = DEFAULT_ALPHA
+    tau: float = DEFAULT_TAU
     unicode_version: str = uniscript.TABLE_VERSION
 
 

@@ -381,14 +381,15 @@ def release_task(queue_dir: Union[str, Path], task: Task) -> None:
 
 
 def fail_task(queue_dir: Union[str, Path], task: Task, worker_id: str,
-              reason: str) -> bool:
-    """Move a poison task to failed/ with diagnostics."""
+              reason: str) -> None:
+    """Move a poison task to failed/ with diagnostics; a record left by an
+    earlier failure of the same task is replaced, so it holds the latest
+    reason."""
     dirs = _dirs(queue_dir)
     record = dict(_task_to_dict(task), worker_id=worker_id, reason=reason)
-    published = _exclusive_publish_json(dirs["failed"] / f"{task.task_id}.json", record)
+    _atomic_write_json(dirs["failed"] / f"{task.task_id}.json", json_text(record))
     (dirs["pending"] / f"{task.task_id}.json").unlink(missing_ok=True)
     (dirs["leases"] / f"{task.task_id}.lock").unlink(missing_ok=True)
-    return published
 
 
 def queue_status(queue_dir: Union[str, Path],

@@ -2,19 +2,20 @@ import json
 import math
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
 from tarjama.backends import HttpRewardScorer
 from tarjama.cli import main
-from tarjama.config import load_config
+from tarjama.config import BackendConfig, load_config
 from tarjama.corpus import Candidate, conversation_to_dict, load_corpus, read_units
 from tarjama.ranking import rank_candidates
 from tarjama.workqueue import enqueue
 
-from conftest import (ARABIC_WORDS, LATIN_WORDS, corpus_jsonl, make_conversation,
-                      random_corpus)
+from conftest import (ARABIC_WORDS, LATIN_WORDS, README_INI, corpus_jsonl,
+                      make_conversation, random_corpus)
 
 
 @pytest.fixture
@@ -239,17 +240,24 @@ def test_pipeline_fails_a_task_whose_translation_holds_a_lone_surrogate(tmp_path
     corpus_path = tmp_path / "c.jsonl"
     corpus_path.write_text(corpus_jsonl([conv]), encoding="utf-8")
     table_path = tmp_path / "table.json"
-    table_path.write_text(json.dumps({"hello there": "\ud800 bad"}), encoding="utf-8")
     out = tmp_path / "out"
+    queue = out / "queue"
     args = ["pipeline", "--input", str(corpus_path), "--out", str(out),
             "--backend", "mock-table", "--table", str(table_path)]
-    for _ in range(2):  # a rerun on the same queue finds no lease left behind
+    # A rerun on the same queue finds no lease left behind; its table breaks
+    # the other unit of the same task, and failed/ keeps the latest reason.
+    for message_index, source in enumerate(["hello there", "ok"]):
+        table_path.write_text(json.dumps({source: "\ud800 bad"}), encoding="utf-8")
         rc, _ = run(args, tmp_path)
         assert rc == 1
-        assert "has no done/ record" in capsys.readouterr().err
-        queue = out / "queue"
         assert [len(list((queue / d).iterdir())) for d in ("pending", "leases", "done",
                                                           "failed")] == [0, 0, 0, 1]
+        (record,) = (queue / "failed").iterdir()
+        reason = json.loads(record.read_text(encoding="utf-8"))["reason"]
+        assert f"unpaired surrogates for unit ('c1', {message_index}, 0, 0)" in reason
+        err = capsys.readouterr().err
+        assert f"task {record.stem} has no done/ record" in err
+        assert reason in err
 
 
 def test_pipeline_exits_1_naming_a_task_without_done_record(
@@ -294,6 +302,27 @@ def test_reconstruct_rejects_done_record_without_translation(tmp_path, capsys):
                  "--out", str(tmp_path / "rebuilt.jsonl")], tmp_path)
     assert rc == 1
     assert record_path.name in capsys.readouterr().err
+
+
+def test_reconstruct_from_translated_units_matches_pipeline(tmp_path, staged_corpus):
+    corpus_path, _, table_path, ini = staged_corpus
+    out = tmp_path / "out"
+    assert run(_pipeline_args(corpus_path, table_path, ini, out), tmp_path)[0] == 0
+    rebuilt = tmp_path / "rebuilt.jsonl"
+    assert run(["reconstruct", "--translated-units", str(out / "translated_units.jsonl"),
+                "--corpus", str(corpus_path), "--out", str(rebuilt)], tmp_path)[0] == 0
+    assert rebuilt.read_bytes() == (out / "translated_corpus.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("inputs, message", [
+    ([], "one of the arguments --translated-units --from-queue is required"),
+    (["--translated-units", "t.jsonl", "--from-queue", "q"],
+     "argument --from-queue: not allowed with argument --translated-units"),
+])
+def test_reconstruct_takes_exactly_one_input(tmp_path, capsys, inputs, message):
+    rc, _ = run(["reconstruct", *inputs, "--out", str(tmp_path / "r.jsonl")], tmp_path)
+    assert rc == 1
+    assert message in capsys.readouterr().err
 
 
 def test_score_then_rank_produces_winners(tmp_path):
@@ -700,3 +729,156 @@ tau = 0.5
     assert rc == 0
     report = (out / "report.md").read_text(encoding="utf-8")
     assert "alpha=1.0" in report and "tau=0.5" in report
+
+
+# -- one resolved configuration ----------------------------------------------
+
+SUBCOMMANDS = {
+    "decompose": ["decompose", "--input", "c.jsonl", "--units-out", "u.jsonl"],
+    "enqueue": ["enqueue", "--units", "u.jsonl", "--queue", "q", "--translator-id", "t"],
+    "work": ["work", "--queue", "q", "--worker-id", "w0"],
+    "reconstruct": ["reconstruct", "--from-queue", "q", "--out", "r.jsonl"],
+    "score": ["score", "--corpus", "c.jsonl", "--candidates", "x.jsonl", "--out", "s.jsonl"],
+    "rank": ["rank", "--scored", "s.jsonl", "--winners-out", "w.jsonl"],
+    "bt-fit": ["bt-fit", "--prefs", "p.csv", "--out", "bt.csv"],
+    "stats": ["stats", "--scored", "s.jsonl", "--out", "r.md"],
+    "filter": ["filter", "--corpus", "c.jsonl", "--scored", "s.jsonl",
+               "--kept-out", "k.jsonl", "--rejected-out", "r.jsonl"],
+    "sample": ["sample", "--corpus", "c.jsonl", "--out", "o.jsonl"],
+    "queue-status": ["queue-status", "--queue", "q"],
+    "pipeline": ["pipeline", "--input", "c.jsonl", "--out", "out"],
+}
+
+
+@pytest.fixture
+def resolve(tmp_path, monkeypatch):
+    """``resolve(argv)`` runs ``main`` with every handler replaced by one
+    that keeps the config it is handed; it returns that config and the
+    config hash of the manifest line the run appended."""
+    import tarjama.cli as cli
+    handed = []
+    for name in [name for name in vars(cli) if name.startswith("cmd_")]:
+        monkeypatch.setattr(cli, name, lambda args, cfg: handed.append(cfg) or 0)
+    manifest = tmp_path / "runs.jsonl"
+
+    def resolve(argv):
+        assert main(argv + ["--manifest", str(manifest)]) == 0
+        return handed[-1], json.loads(manifest.read_text().splitlines()[-1])["config_hash"]
+    return resolve
+
+
+def _chunk_cases(subcommand):
+    return [(subcommand, [flag, str(value)], f"chunk_policy.{field}", value, "")
+            for flag, field, value in [("--target-tokens", "target_tokens", 100),
+                                       ("--window-tokens", "window_tokens", 10),
+                                       ("--hard-cap-tokens", "hard_cap_tokens", 600)]]
+
+
+OVERRIDE_CASES = [
+    *_chunk_cases("decompose"),
+    *_chunk_cases("pipeline"),
+    ("enqueue", ["--batch-size", "3"], "batch_size", 3, ""),
+    ("work", ["--ttl", "60"], "ttl_seconds", 60.0, ""),
+    ("work", ["--backend", "mock-table"], "backend",
+     BackendConfig(id="mock-table", kind="mock-table"), ""),
+    ("work", ["--endpoint", "http://127.0.0.1:9/v1"], "backend",
+     BackendConfig(kind="http-endpoint", endpoint="http://127.0.0.1:9/v1"), ""),
+    ("work", ["--model", "m"], "backend.model", "m", ""),
+    ("work", ["--table", "t.json"], "backend",
+     BackendConfig(kind="mock-table", table_path="t.json"), ""),
+    ("score", ["--alpha", "1.0"], "alpha", 1.0, ""),
+    ("score", ["--tau", "0.5"], "tau", 0.5, ""),
+    ("rank", ["--weights", "1,1,1"], "combine_weights", (1.0, 1.0, 1.0), ""),
+    ("filter", ["--min-lr", "0.5"], "filter_policy.min_lr", 0.5, ""),
+    ("filter", ["--min-scr", "0.5"], "filter_policy.min_scr", 0.5, ""),
+    ("filter", ["--reject-cjk"], "filter_policy.reject_cjk", True,
+     "[filter]\nreject_cjk = false\n"),
+    ("filter", ["--keep-cjk"], "filter_policy.reject_cjk", False, ""),
+    ("sample", ["--ratios", "code:1"], "strata_ratios", {"code": 1}, ""),
+    ("sample", ["--total", "5"], "sample_total", 5, ""),
+    ("sample", ["--seed", "3"], "seed", 3, ""),
+    ("pipeline", ["--translator-id", "x"], "backend", BackendConfig(id="x"), ""),
+    ("pipeline", ["--translator-id", "x"], "backend",
+     BackendConfig(id="x", kind="mock-table", table_path="t.json"),
+     "[backend]\nkind = mock-table\ntable_path = t.json\n"),
+    ("pipeline", ["--backend", "mock-table", "--table", "t.json"], "backend",
+     BackendConfig(kind="mock-table", id="mock-table", table_path="t.json"), ""),
+    ("pipeline", ["--no-translate-system"], "translate_system_messages", False, ""),
+    ("decompose", ["--lenient"], "strict", False, ""),
+]
+
+
+@pytest.mark.parametrize("subcommand, flags, field, expected, ini", OVERRIDE_CASES,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_every_override_flag_reaches_its_field_and_the_config_hash(
+        tmp_path, monkeypatch, resolve, subcommand, flags, field, expected, ini):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.json").write_text("{}", encoding="utf-8")
+    config = []
+    if ini:
+        (tmp_path / "conf.ini").write_text(ini, encoding="utf-8")
+        config = ["--config", "conf.ini"]
+    without, hash_without = resolve(SUBCOMMANDS[subcommand] + config)
+    given, hash_given = resolve(SUBCOMMANDS[subcommand] + config + flags)
+    assert attrgetter(field)(given) == expected != attrgetter(field)(without)
+    assert hash_given != hash_without
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_no_flag_left_unset_stands_in_for_a_config_value(tmp_path, resolve, subcommand):
+    ini = tmp_path / "conf.ini"
+    ini.write_text(README_INI, encoding="utf-8")
+    cfg, config_hash = resolve(SUBCOMMANDS[subcommand] + ["--config", str(ini)])
+    assert config_hash == cfg.config_hash() == load_config(str(ini)).config_hash()
+
+
+@pytest.mark.parametrize("subcommand, flags, message", [
+    ("score", ["--alpha", "0"], "alpha must be positive"),
+    ("score", ["--tau", "1.5"], "tau must be in (0, 1]"),
+    ("rank", ["--weights", "1,-1,2"], "weights must be non-negative"),
+    ("rank", ["--weights", "0,0,0"], "weights must not all be zero"),
+    ("rank", ["--weights", "1,2"], "weights must be three comma-separated numbers"),
+    ("sample", ["--ratios", ","], "cannot parse ratios from ','"),
+])
+def test_bad_override_flag_exits_1(tmp_path, capsys, subcommand, flags, message):
+    rc, _ = run(SUBCOMMANDS[subcommand] + flags, tmp_path)
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ini, message", [
+    ("[metrics]\ntau = 1.5\n", "[metrics] tau: tau must be in (0, 1]"),
+    ("[metrics]\nalpha = -1\n", "[metrics] alpha: alpha must be positive"),
+    ("[ranking]\nweight_lr = -1\n", "[ranking] weight_lr: weights must be non-negative"),
+    ("[chunking]\nhard_cap_token = 9\n", "[chunking] hard_cap_token: unknown key"),
+])
+def test_bad_config_stops_pipeline_before_any_translation(
+        tmp_path, capsys, fixture_corpus, ini, message):
+    corpus_path, _ = fixture_corpus
+    (tmp_path / "conf.ini").write_text(ini, encoding="utf-8")
+    out = tmp_path / "out"
+    rc, _ = run(["pipeline", "--input", str(corpus_path), "--out", str(out),
+                 "--config", str(tmp_path / "conf.ini")], tmp_path)
+    assert rc == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (out / "queue").exists()
+
+
+def test_config_backend_drives_pipeline(tmp_path):
+    conv = make_conversation("c1", contents=[("user", "hi")])
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text(corpus_jsonl([conv]), encoding="utf-8")
+    table_path = tmp_path / "tbl.json"
+    table_path.write_text(json.dumps({"hi": "مرحبا"}), encoding="utf-8")
+    ini = tmp_path / "conf.ini"
+    ini.write_text(f"[backend]\nkind = mock-table\nid = tbl\ntable_path = {table_path}\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    rc, manifest = run(["pipeline", "--input", str(corpus_path), "--out", str(out),
+                        "--config", str(ini)], tmp_path)
+    assert rc == 0
+    assert load_corpus(out / "translated_corpus.jsonl")[0].messages[0].content == "مرحبا"
+    (row,) = [json.loads(line) for line in (out / "scored.jsonl").read_text().splitlines()]
+    assert row["translator_id"] == "tbl"
+    entry = json.loads(manifest.read_text().splitlines()[-1])
+    assert entry["config_hash"] == load_config(str(ini)).config_hash()

@@ -1,12 +1,9 @@
-import re
-from pathlib import Path
-
 import pytest
 
 from tarjama.config import PipelineConfig, load_config
 from tarjama.tokenizers import ConfigurationError
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+from conftest import README_INI
 
 
 def test_default_config_hash_is_pinned():
@@ -16,13 +13,13 @@ def test_default_config_hash_is_pinned():
 
 
 def test_readme_sample_config_loads_with_a_pinned_hash(tmp_path):
-    sample = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"),
-                       re.DOTALL).group(1)
+    # load_config rejects a section or key it does not read, so this also
+    # keeps the documented keys and the loader in step.
     for section in ("tokenizers", "chunking", "metrics", "backend", "queue", "ranking",
                     "filter", "filter.overrides", "sample", "run"):
-        assert f"[{section}]" in sample
+        assert f"[{section}]" in README_INI
     path = tmp_path / "sample.ini"
-    path.write_text(sample, encoding="utf-8")
+    path.write_text(README_INI, encoding="utf-8")
     cfg = load_config(str(path))
     assert cfg.backend.id == "my-translator"
     assert cfg.filter_policy.thresholds("code_heavy_split") == (0.3, 0.05)
@@ -37,6 +34,17 @@ def test_readme_sample_config_loads_with_a_pinned_hash(tmp_path):
      "[chunking]: target_tokens must not exceed hard_cap_tokens"),
     ("[filter.overrides]\ndev = 0.3;0.1\n", "[filter.overrides] dev:"),
     ("[sample]\nratios = code:1,math:two\n", "[sample] ratios:"),
+    ("[sample]\nratios = ,\n", "[sample] ratios: cannot parse ratios from ','"),
+    # the checks of LrInputs, ScrParams and combine_scores, made at load time
+    ("[metrics]\nalpha = 0\n", "[metrics] alpha: alpha must be positive"),
+    ("[metrics]\ntau = 1.5\n", "[metrics] tau: tau must be in (0, 1]"),
+    ("[ranking]\nweight_lr = -1\n", "[ranking] weight_lr: weights must be non-negative"),
+    ("[ranking]\nweight_lr = 0\nweight_scr = 0\nweight_rm = 0\n",
+     "[ranking] weight_lr, weight_scr, weight_rm: weights must not all be zero"),
+    # a key or section that nothing reads
+    ("[chunking]\nhard_cap_token = 9\n", "[chunking] hard_cap_token: unknown key"),
+    ("[chunkin]\nhard_cap_tokens = 9\n", "[chunkin]: unknown section"),
+    ("[filters]\n", "[filters]: unknown section"),
 ])
 def test_unparseable_value_names_its_section_and_key(tmp_path, ini, where):
     path = tmp_path / "bad.ini"
@@ -44,3 +52,12 @@ def test_unparseable_value_names_its_section_and_key(tmp_path, ini, where):
     with pytest.raises(ConfigurationError) as exc:
         load_config(str(path))
     assert str(exc.value).startswith(where)
+
+
+def test_split_names_and_default_section_keys_are_free(tmp_path):
+    path = tmp_path / "free.ini"
+    path.write_text("[DEFAULT]\nfloor = 0.2\n\n[filter]\nmin_lr = %(floor)s\n\n"
+                    "[filter.overrides]\nAny_Split = 0.1,0.1\n", encoding="utf-8")
+    cfg = load_config(str(path))
+    assert cfg.filter_policy.min_lr == 0.2
+    assert cfg.filter_policy.thresholds("Any_Split") == (0.1, 0.1)
