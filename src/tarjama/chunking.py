@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import re
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .tokenizers import TokenizerSpec, count_tokens, tokenize
 
@@ -72,6 +72,16 @@ def fits_one_chunk(text: str, policy: ChunkPolicy) -> bool:
     """True when *text* is short enough to be one chunk whatever the
     tokenizer: a token covers at least one code point."""
     return len(text) <= policy.hard_cap_tokens
+
+
+def chunker(spec: TokenizerSpec, policy: ChunkPolicy) -> Callable[[str], list[str]]:
+    """The function from a part's text to its chunk texts under *policy*:
+    a part that fits one chunk is its own chunk, without a token count."""
+    def chunk_texts(text: str) -> list[str]:
+        if fits_one_chunk(text, policy):
+            return [text]
+        return [c.text for c in plan_chunks(text, spec, policy)]
+    return chunk_texts
 
 
 def plan_chunks(text: str, spec: TokenizerSpec, policy: ChunkPolicy) -> list[Chunk]:

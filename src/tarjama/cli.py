@@ -14,29 +14,24 @@ import logging
 import sys
 import time
 from contextlib import ExitStack
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import __version__, uniscript
 from .backends import BackendError, HttpRewardScorer, TranslatorBackend
-from .chunking import ChunkPolicy, fits_one_chunk, plan_chunks
+from .chunking import ChunkPolicy, chunker
 from .config import (BackendConfig, ConfigurationError, PipelineConfig, checked_alpha,
                      checked_tau, checked_weights, load_config, _parse_ratios)
-from .corpus import (Candidate, Conversation, CorpusError, TranslatedUnit,
-                     conversation_from_dict, conversation_to_dict, decompose,
-                     group_units_by_conversation, identity_translate,
-                     json_text, jsonl_line, load_corpus, read_units, reconstruct,
-                     split_parts, unit_from_dict, unit_to_dict, write_corpus,
-                     write_jsonl, write_units)
+from .corpus import (UNIT_FIELDS, Candidate, CorpusError, conversation_from_dict,
+                     conversation_to_dict, decompose, json_text, jsonl_line,
+                     load_corpus, rebuild_conversations, unit_from_dict, unit_to_dict,
+                     write_corpus, write_jsonl, write_units)
 from .metrics import QualityScore
-from .ranking import (FitError, PreferenceRecord, bt_fit, rank_rows, row_field,
-                      row_quality, score_row)
+from .ranking import (FitError, PreferenceRecord, bt_fit, row_field, row_quality,
+                      score_row, winner_and_ranking)
 from .stats import (ReportMeta, StrataPolicy, aggregate_split,
                     apply_filter, emit_report, stratified_sample,
                     summarize_config)
-from .tokenizers import TokenizerSpec
 from .workqueue import enqueue, pack_batches, queue_status, worker_loop
 
 logger = logging.getLogger(__name__)
@@ -52,23 +47,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_chunk_plan(conversation: Conversation, spec: TokenizerSpec,
-                     policy: ChunkPolicy) -> dict[tuple[int, int], list[str]]:
-    """Chunk every part of every message under the given policy; a part
-    that fits one chunk is its own chunk text, without a token count."""
-    plan: dict[tuple[int, int], list[str]] = {}
-    for msg in conversation.messages:
-        for part_index, part in enumerate(split_parts(msg.content)):
-            text = part.text
-            plan[(msg.index, part_index)] = (
-                [text] if fits_one_chunk(text, policy)
-                else [c.text for c in plan_chunks(text, spec, policy)])
-    return plan
-
-
-def _read_jsonl(path: str) -> list[dict]:
+def _read_rows(path: str, fields: Sequence[str] = (), what: str = "") -> Iterator[dict]:
+    """The JSON object on each non-blank line of *path*.  CorpusError names
+    the line of one that is not an object or lacks one of *fields*."""
     with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise CorpusError(f"{path} line {line_no}: {exc}") from None
+            if not isinstance(row, dict):
+                raise CorpusError(f"{path} line {line_no}: not a JSON object")
+            for field in fields:
+                if field not in row:
+                    raise CorpusError(f"{path} line {line_no}: {what} row has no "
+                                      f"{field!r} field")
+            yield row
 
 
 def _open_out(path):
@@ -131,17 +127,17 @@ def _apply_flags(args, cfg: PipelineConfig) -> None:
 
 def cmd_decompose(args, cfg: PipelineConfig) -> int:
     conversations = load_corpus(args.input, strict=cfg.strict)
+    chunk = chunker(cfg.chunking_tokenizer, cfg.chunk_policy)
     units = []
     for conv in conversations:
-        units.extend(decompose(conv, build_chunk_plan(
-            conv, cfg.chunking_tokenizer, cfg.chunk_policy)))
+        units.extend(decompose(conv, chunk))
     write_units(units, args.units_out)
     print(f"decomposed {len(conversations)} conversations into {len(units)} units")
     return 0
 
 
 def cmd_enqueue(args, cfg: PipelineConfig) -> int:
-    units = list(read_units(args.units))
+    units = [unit_from_dict(row) for row in _read_rows(args.units, UNIT_FIELDS, "unit")]
     tasks = enqueue(args.queue, units, args.translator_id, batch_size=cfg.batch_size,
                     char_budget=cfg.batch_size * cfg.chunk_policy.hard_cap_tokens)
     print(f"enqueued {len(units)} units as {len(tasks)} tasks in {args.queue}")
@@ -161,9 +157,10 @@ def cmd_work(args, cfg: PipelineConfig) -> int:
 
 def _done_unit_dicts(queue_dir,
                      task_ids: Optional[Iterable[str]] = None) -> Iterator[dict]:
-    """The unit dicts of ``read_done_units``, each checked to hold a
-    translation.  A missing record's error quotes the reason of the task's
-    failed/ record, if it has one."""
+    """The unit dicts of every done/ record in sorted order, or of
+    *task_ids*' records in the given order, each checked to hold a
+    translation.  CorpusError names a missing record and quotes the reason
+    of the task's failed/ record, if it has one."""
     done = Path(queue_dir) / "done"
     paths = (sorted(done.glob("*.json")) if task_ids is None
              else (done / f"{task_id}.json" for task_id in task_ids))
@@ -184,32 +181,22 @@ def _done_unit_dicts(queue_dir,
             yield obj
 
 
-def read_done_units(queue_dir,
-                    task_ids: Optional[Iterable[str]] = None) -> Iterator[TranslatedUnit]:
-    """Yield the translated units of every done/ record in sorted order, or
-    of *task_ids*' records in the given order (CorpusError if one is missing)."""
-    return map(unit_from_dict, _done_unit_dicts(queue_dir, task_ids))
-
-
-def _reconstruct_corpus(units: list[TranslatedUnit],
-                        sources: Optional[list[Conversation]]) -> list[Conversation]:
-    grouped = group_units_by_conversation(units)
-    if not sources:
-        return [reconstruct(group) for group in grouped.values()]
-    missing = [c.id for c in sources if c.id not in grouped]
-    if missing:
-        raise CorpusError(f"no translated units for conversation {missing[0]!r}")
-    return [reconstruct(grouped[c.id], c.split, c.category) for c in sources]
-
-
 def cmd_reconstruct(args, cfg: PipelineConfig) -> int:
     if args.translated_units:
-        units = [u for u in read_units(args.translated_units)
-                 if isinstance(u, TranslatedUnit)]
+        objs = (row for row in _read_rows(args.translated_units, UNIT_FIELDS, "unit")
+                if "translated_text" in row)
     else:
-        units = list(read_done_units(args.from_queue))
-    sources = load_corpus(args.corpus, strict=cfg.strict) if args.corpus else None
-    conversations = _reconstruct_corpus(units, sources)
+        objs = _done_unit_dicts(args.from_queue)
+    grouped: dict[str, list[dict]] = {}  # in first-seen order
+    for obj in objs:
+        grouped.setdefault(obj["conversation_id"], []).append(obj)
+    if args.corpus:
+        sources = [(c.id, c.split, c.category)
+                   for c in load_corpus(args.corpus, strict=cfg.strict)]
+    else:
+        sources = [(conv_id, "", None) for conv_id in grouped]
+    conversations = [conv for _, conv in rebuild_conversations(
+        sources, (obj for conv_id, _, _ in sources for obj in grouped.get(conv_id, ())))]
     write_corpus(conversations, args.out)
     print(f"reconstructed {len(conversations)} conversations")
     return 0
@@ -217,19 +204,9 @@ def cmd_reconstruct(args, cfg: PipelineConfig) -> int:
 
 def _load_candidates(path: str) -> list[Candidate]:
     """The candidates file's rows; CorpusError names a row's missing field."""
-    candidates = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            for field in Candidate._fields:
-                if field not in row:
-                    raise CorpusError(f"{path} line {line_no}: candidate row has no "
-                                      f"{field!r} field")
-            candidates.append(Candidate(row["conversation_id"], row["translator_id"],
-                                        conversation_from_dict(row["conversation"])))
-    return candidates
+    return [Candidate(row["conversation_id"], row["translator_id"],
+                      conversation_from_dict(row["conversation"]))
+            for row in _read_rows(path, Candidate._fields, "candidate")]
 
 
 def cmd_score(args, cfg: PipelineConfig) -> int:
@@ -250,20 +227,14 @@ def cmd_score(args, cfg: PipelineConfig) -> int:
 
 def cmd_rank(args, cfg: PipelineConfig) -> int:
     by_conv: dict[str, list[dict]] = {}
-    for row in _read_jsonl(args.scored):
+    for row in _read_rows(args.scored):
         by_conv.setdefault(row_field(row, "conversation_id"), []).append(row)
-    winners, rankings = [], []
-    for conv_id, rows in by_conv.items():
-        scored = rank_rows(rows, cfg.combine_weights)
-        winners.append({"conversation_id": conv_id, "translator_id": scored[0][0]})
-        rankings.append({
-            "conversation_id": conv_id,
-            "ranking": [{"translator_id": t, "score": s} for t, s in scored],
-        })
-    write_jsonl(winners, args.winners_out)
+    ranked = [winner_and_ranking(conv_id, rows, cfg.combine_weights)
+              for conv_id, rows in by_conv.items()]
+    write_jsonl([winner for winner, _ in ranked], args.winners_out)
     if args.ranking_out:
-        write_jsonl(rankings, args.ranking_out)
-    print(f"ranked candidates for {len(winners)} conversations")
+        write_jsonl([ranking for _, ranking in ranked], args.ranking_out)
+    print(f"ranked candidates for {len(ranked)} conversations")
     return 0
 
 
@@ -297,7 +268,7 @@ def cmd_bt_fit(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _split_report(rows: list[dict], fmt: str, cfg: PipelineConfig) -> tuple[list, str]:
+def _split_report(rows: Iterable[dict], fmt: str, cfg: PipelineConfig) -> tuple[list, str]:
     """Per-split statistics of scored rows and their rendered report."""
     by_split: dict[str, list[QualityScore]] = {}
     for row in rows:
@@ -309,7 +280,7 @@ def _split_report(rows: list[dict], fmt: str, cfg: PipelineConfig) -> tuple[list
 
 
 def cmd_stats(args, cfg: PipelineConfig) -> int:
-    splits, report = _split_report(_read_jsonl(args.scored), args.format, cfg)
+    splits, report = _split_report(_read_rows(args.scored), args.format, cfg)
     Path(args.out).write_text(report, encoding="utf-8")
     if splits:
         summary = summarize_config(splits)
@@ -324,7 +295,7 @@ def cmd_filter(args, cfg: PipelineConfig) -> int:
     policy = cfg.filter_policy
     conversations = load_corpus(args.corpus, strict=cfg.strict)
     scores: dict[str, QualityScore] = {}
-    for row in _read_jsonl(args.scored):
+    for row in _read_rows(args.scored):
         conv_id = row_field(row, "conversation_id")
         if conv_id in scores:
             raise CorpusError(f"multiple scored rows for {conv_id!r}; rank first")
@@ -377,25 +348,24 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
     queue_dir = out / "queue"
 
     # Pass 1, per conversation: write its units, keep its untranslated system
-    # units, and stream translatable units through pack_batches, enqueueing
-    # each batch as one task as soon as it closes.  Each unit is encoded
-    # once: its JSON text is its units.jsonl line and its part of the task.
-    passthrough: dict[str, list[tuple[TranslatedUnit, dict]]] = {}
+    # units' dicts, and stream translatable units through pack_batches,
+    # enqueueing each batch as one task as soon as it closes.  Each unit is
+    # encoded once: its JSON text is its units.jsonl line and its part of
+    # the task.
+    passthrough: dict[str, list[dict]] = {}
     task_ids: list[str] = []
     texts: list[str] = []  # JSON texts of the units pack_batches has taken
 
     def translatable(units_fh) -> Iterator:
+        chunk = chunker(cfg.chunking_tokenizer, policy)
         for conv in conversations:
-            plan = build_chunk_plan(conv, cfg.chunking_tokenizer, policy)
-            for unit in decompose(conv, plan):
+            for unit in decompose(conv, chunk):
                 obj = unit_to_dict(unit)
                 text = json_text(obj)
                 units_fh.write(text + "\n")
                 if unit.role == "system" and not cfg.translate_system_messages:
-                    passthrough.setdefault(conv.id, []).append((
-                        identity_translate(unit, "passthrough"),
-                        dict(obj, translated_text=unit.source_text,
-                             translator_id="passthrough")))
+                    passthrough.setdefault(conv.id, []).append(dict(
+                        obj, translated_text=unit.source_text, translator_id="passthrough"))
                     continue
                 texts.append(text)
                 yield unit
@@ -415,38 +385,40 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
                     prompt_template=cfg.prompt_template,
                     target_language=cfg.target_language)
 
-    # Pass 2, per conversation: the done/ records, read in enqueue order, hold
-    # each conversation's translated units contiguously.  Rebuild, score and
-    # write it before reading on; keep only the score rows.  A unit's
-    # translated_units.jsonl line is the JSON of its done-record dict, and
-    # the rebuilt conversation's JSON serves both corpus and candidate line.
-    groups = groupby(_done_unit_dicts(queue_dir, task_ids),
-                     key=itemgetter("conversation_id"))
-    group_id, group = next(groups, (None, ()))
+    # Pass 2, per conversation: rebuild, score and write it before reading
+    # on; keep only the score rows.  The done/ records, read in enqueue
+    # order, hold each conversation's translated units together; its
+    # passthrough units join them there.  A unit's translated_units.jsonl
+    # line is the JSON of its dict, and the rebuilt conversation's JSON
+    # serves both corpus and candidate line.
+    def translated_units() -> Iterator[dict]:
+        done = _done_unit_dicts(queue_dir, task_ids)
+        obj = next(done, None)
+        for conv in conversations:
+            yield from passthrough.pop(conv.id, ())
+            while obj is not None and obj["conversation_id"] == conv.id:
+                yield obj
+                obj = next(done, None)
+
+    rebuilt_convs = rebuild_conversations(
+        ((c.id, c.split, c.category) for c in conversations), translated_units())
     scored_rows = []
     translator_json = json_text(backend.id)
     with ExitStack() as stack:
         fh = {name: stack.enter_context(_open_out(out / f"{name}.jsonl")) for name in (
             "translated_units", "translated_corpus", "candidates", "scored", "winners")}
-        for conv in conversations:
-            pairs = passthrough.pop(conv.id, [])
-            if group_id == conv.id:
-                pairs.extend((unit_from_dict(obj), obj) for obj in group)
-                group_id, group = next(groups, (None, ()))
-            pairs.sort(key=lambda pair: pair[0].key)  # units.jsonl order
-            fh["translated_units"].writelines(jsonl_line(obj) for _, obj in pairs)
-            rebuilt = reconstruct([unit for unit, _ in pairs], conv.split, conv.category)
-            ids = {"conversation_id": conv.id, "translator_id": backend.id}
+        for conv, (objs, rebuilt) in zip(conversations, rebuilt_convs):
+            fh["translated_units"].writelines(map(jsonl_line, objs))
             rebuilt_json = json_text(conversation_to_dict(rebuilt))
             fh["translated_corpus"].write(rebuilt_json + "\n")
-            fh["candidates"].write(  # the text jsonl_line(dict(ids, conversation=...)) gives
+            fh["candidates"].write(  # jsonl_line's text of the candidate row
                 f'{{"conversation_id": {json_text(conv.id)}, '
                 f'"translator_id": {translator_json}, "conversation": {rebuilt_json}}}\n')
             row = score_row(conv, Candidate(conv.id, backend.id, rebuilt),
                             cfg.alpha, cfg.tau, cfg.analysis_tokenizer)
             fh["scored"].write(jsonl_line(row))
-            ((winner, _),) = rank_rows([row], cfg.combine_weights)
-            fh["winners"].write(jsonl_line(dict(ids, translator_id=winner)))
+            fh["winners"].write(jsonl_line(
+                winner_and_ranking(conv.id, [row], cfg.combine_weights)[0]))
             scored_rows.append(row)
 
     ext = {"markdown": "md", "csv": "csv", "json": "json"}[args.format]
@@ -606,8 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The arguments that name input files; the backend's table file is hashed
+# from the resolved config, which holds a --table flag's value too.
 _INPUT_ARGS = ("input", "corpus", "candidates", "scored", "units",
-               "translated_units", "prefs", "table", "config")
+               "translated_units", "prefs", "config")
 
 
 def _sha256_file(path: Path) -> str:
@@ -621,8 +595,8 @@ def _sha256_file(path: Path) -> str:
 def _append_manifest(args, cfg: PipelineConfig, exit_code: int) -> None:
     path = getattr(args, "manifest", None) or cfg.manifest_path
     inputs = {}
-    for name in _INPUT_ARGS:
-        value = getattr(args, name, None)
+    for value in [*(getattr(args, name, None) for name in _INPUT_ARGS),
+                  cfg.backend.table_path]:
         if isinstance(value, str) and Path(value).is_file():
             inputs[value] = _sha256_file(Path(value))
     entry = {

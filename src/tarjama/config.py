@@ -113,15 +113,6 @@ def _parse_ratios(value: str) -> dict[str, int]:
     return ratios
 
 
-def _checked(where: str, convert, *args):
-    """``convert(*args)``, with a ``ValueError`` turned into a
-    ``ConfigurationError`` that starts with *where*."""
-    try:
-        return convert(*args)
-    except ValueError as exc:
-        raise ConfigurationError(f"{where}: {exc}") from None
-
-
 def checked_alpha(alpha: float) -> float:
     """*alpha*, or the ``ValueError`` that ``LrInputs`` raises for it."""
     return LrInputs(0, 0, 0, 0, alpha).alpha
@@ -145,7 +136,9 @@ def load_config(path: Optional[str] = None) -> PipelineConfig:
     missing keys fall back to defaults.  A file that ConfigParser rejects,
     a value it cannot parse or validate, or a section or key that nothing
     here reads is a ConfigurationError naming the section and the key;
-    only the split names of ``[filter.overrides]`` are free."""
+    only the split names of ``[filter.overrides]`` are free.  An unknown
+    section or key is reported before any value error, which a misspelt
+    key may have caused."""
     cfg = PipelineConfig()
     if path is None:
         return cfg
@@ -163,28 +156,40 @@ def load_config(path: Optional[str] = None) -> PipelineConfig:
         where = f"[{exc.section}] {exc.option}" if hasattr(exc, "option") else path
         raise ConfigurationError(f"{where}: {exc}") from None
     known: set[tuple[str, str]] = set()
+    errors: list[ConfigurationError] = []  # the first is raised after the key check
+
+    def checked(where: str, default, convert, *args):
+        """``convert(*args)``; on a ValueError, prefixed with *where*, or a
+        ConfigurationError, *default*, with the error kept in *errors*."""
+        try:
+            return convert(*args)
+        except ValueError as exc:
+            errors.append(ConfigurationError(f"{where}: {exc}"))
+        except ConfigurationError as exc:
+            errors.append(exc)
+        return default
 
     def get(name: str, key: str, default=None, kind: str = "", check=None):
         """``[name] key`` parsed by ``get<kind>`` and then *check*, or
-        *default* when the file does not set it."""
+        *default* when the file does not set it or its value fails."""
         known.add((name, key))
         if not parser.has_option(name, key):
             return default
-        where = f"[{name}] {key}"
-        value = _checked(where, getattr(parser[name], "get" + kind), key)
-        return value if check is None else _checked(where, check, value)
+        read = getattr(parser[name], "get" + kind)
+        return checked(f"[{name}] {key}", default,
+                       lambda: read(key) if check is None else check(read(key)))
 
     def own_keys(name: str) -> list[str]:
         """The keys that section *name* sets itself, not through [DEFAULT]."""
         return [key for key in parser.options(name) if key not in parser.defaults()]
 
     for use in ("chunking", "analysis"):
-        value = get("tokenizers", use)
-        if value is not None:
-            setattr(cfg, f"{use}_tokenizer", _tokenizer_from_value(value))
+        spec = get("tokenizers", use, check=_tokenizer_from_value)
+        if spec is not None:
+            setattr(cfg, f"{use}_tokenizer", spec)
     base = cfg.chunk_policy
-    cfg.chunk_policy = _checked(
-        "[chunking]", ChunkPolicy,
+    cfg.chunk_policy = checked(
+        "[chunking]", base, ChunkPolicy,
         get("chunking", "target_tokens", base.target_tokens, "int"),
         get("chunking", "window_tokens", base.window_tokens, "int"),
         get("chunking", "hard_cap_tokens", base.hard_cap_tokens, "int"))
@@ -192,7 +197,7 @@ def load_config(path: Optional[str] = None) -> PipelineConfig:
     cfg.tau = get("metrics", "tau", cfg.tau, "float", checked_tau)
     table_path = get("backend", "table_path")
     if table_path and not Path(table_path).is_file():
-        raise ConfigurationError(f"backend table file not found: {table_path}")
+        errors.append(ConfigurationError(f"backend table file not found: {table_path}"))
     cfg.backend = BackendConfig(
         id=get("backend", "id", cfg.backend.id),
         kind=get("backend", "kind", cfg.backend.kind),
@@ -211,7 +216,8 @@ def load_config(path: Optional[str] = None) -> PipelineConfig:
     weights = [get("ranking", key, default, "float")
                for key, default in zip(keys, cfg.combine_weights)]
     given = ", ".join(key for key in keys if parser.has_option("ranking", key))
-    cfg.combine_weights = _checked(f"[ranking] {given}", checked_weights, weights)
+    cfg.combine_weights = checked(f"[ranking] {given}", cfg.combine_weights,
+                                  checked_weights, weights)
     policy = cfg.filter_policy
     cfg.filter_policy = policy._replace(
         min_lr=get("filter", "min_lr", policy.min_lr, "float"),
@@ -222,8 +228,8 @@ def load_config(path: Optional[str] = None) -> PipelineConfig:
         overrides: dict[str, tuple[float, float]] = {}
         for split in own_keys("filter.overrides"):
             lr_s, _, scr_s = parser["filter.overrides"][split].partition(",")
-            overrides[split] = _checked(f"[filter.overrides] {split}",
-                                        lambda: (float(lr_s), float(scr_s)))
+            overrides[split] = checked(f"[filter.overrides] {split}", None,
+                                       lambda: (float(lr_s), float(scr_s)))
         cfg.filter_policy = cfg.filter_policy._replace(per_split_overrides=overrides)
     cfg.strata_ratios = get("sample", "ratios", cfg.strata_ratios, check=_parse_ratios)
     cfg.sample_total = get("sample", "total", cfg.sample_total, "int")
@@ -243,4 +249,6 @@ def load_config(path: Optional[str] = None) -> PipelineConfig:
         for key in own_keys(name):
             if (name, key) not in known:
                 raise ConfigurationError(f"[{name}] {key}: unknown key")
+    if errors:
+        raise errors[0]
     return cfg

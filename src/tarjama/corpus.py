@@ -16,7 +16,8 @@ from itertools import groupby
 from json.encoder import c_make_encoder, encode_basestring
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Optional,
+                    Sequence, Union)
 
 logger = logging.getLogger(__name__)
 
@@ -109,12 +110,12 @@ class Part(NamedTuple):
     text: str
 
 
-_UNIT_FIELDS = ("conversation_id", "message_index", "part_type", "part_index",
-                "chunk_index", "chunk_count", "role", "source_text")
+UNIT_FIELDS = ("conversation_id", "message_index", "part_type", "part_index",
+               "chunk_index", "chunk_count", "role", "source_text")
 
 
 class TranslationUnit:
-    __slots__ = _UNIT_FIELDS
+    __slots__ = UNIT_FIELDS
 
     def __init__(self, conversation_id: str, message_index: int, part_type: str,
                  part_index: int, chunk_index: int, chunk_count: int, role: str,
@@ -322,28 +323,21 @@ def join_parts(parts: Iterable[tuple[str, str]]) -> str:
                    for kind, text in parts)
 
 
-ChunkPlan = Mapping[tuple[int, int], Sequence[str]]
-
-
-def decompose(conversation: Conversation, chunk_plan: ChunkPlan) -> list[TranslationUnit]:
+def decompose(conversation: Conversation,
+              chunk: Callable[[str], Sequence[str]]) -> list[TranslationUnit]:
     """Flatten a conversation into translation units.
 
-    ``chunk_plan`` maps (message_index, part_index) to the list of chunk
-    texts for that part; chunk texts must concatenate back to the part.
+    ``chunk`` maps a part's text to its chunk texts, which must
+    concatenate back to the part.
     """
     units: list[TranslationUnit] = []
     for msg in conversation.messages:
         for part_index, part in enumerate(split_parts(msg.content)):
-            key = (msg.index, part_index)
-            if key not in chunk_plan:
-                raise UnitConsistencyError(
-                    f"chunk plan missing part {key} of conversation {conversation.id!r}")
-            chunk_texts = list(chunk_plan[key])
-            if not chunk_texts:
-                raise UnitConsistencyError(f"chunk plan for part {key} is empty")
+            chunk_texts = chunk(part.text)
             if "".join(chunk_texts) != part.text:
                 raise UnitConsistencyError(
-                    f"chunk plan for part {key} does not concatenate to the part text")
+                    f"chunks of part {(msg.index, part_index)} do not concatenate "
+                    "to the part text")
             for chunk_index, chunk_text in enumerate(chunk_texts):
                 units.append(TranslationUnit(
                     conversation_id=conversation.id,
@@ -450,18 +444,29 @@ def reconstruct(units: Sequence[TranslatedUnit], split: str = "",
                         category=category)
 
 
-def group_units_by_conversation(
-        units: Iterable[TranslatedUnit]) -> dict[str, list[TranslatedUnit]]:
-    """Group units by conversation id, preserving first-seen order."""
-    grouped: dict[str, list[TranslatedUnit]] = {}
-    for unit in units:
-        grouped.setdefault(unit.conversation_id, []).append(unit)
-    return grouped
+_UNIT_ORDER = itemgetter("message_index", "part_index", "chunk_index")
+
+
+def rebuild_conversations(
+        sources: Iterable[tuple[str, str, Optional[str]]],
+        unit_dicts: Iterable[Mapping]) -> Iterator[tuple[list[Mapping], Conversation]]:
+    """Per ``(id, split, category)`` source, its unit dicts in ``units.jsonl``
+    order and the conversation they rebuild.  *unit_dicts* hold each source's
+    translated units together, in source order; CorpusError names a source
+    without units."""
+    groups = groupby(unit_dicts, itemgetter("conversation_id"))
+    group_id, group = next(groups, (None, ()))
+    for conv_id, split, category in sources:
+        if group_id != conv_id:
+            raise CorpusError(f"no translated units for conversation {conv_id!r}")
+        objs = sorted(group, key=_UNIT_ORDER)
+        group_id, group = next(groups, (None, ()))
+        yield objs, reconstruct(list(map(unit_from_dict, objs)), split, category)
 
 
 def identity_translate(unit: TranslationUnit,
                        translator_id: str = "identity") -> TranslatedUnit:
-    fields = {name: getattr(unit, name) for name in _UNIT_FIELDS}
+    fields = {name: getattr(unit, name) for name in UNIT_FIELDS}
     return TranslatedUnit(**fields, translated_text=unit.source_text,
                           translator_id=translator_id)
 
@@ -488,14 +493,14 @@ def validate_candidate_structure(source: Conversation, candidate: Candidate) -> 
 
 
 def unit_to_dict(unit: TranslationUnit) -> dict:
-    obj = {name: getattr(unit, name) for name in _UNIT_FIELDS}
+    obj = {name: getattr(unit, name) for name in UNIT_FIELDS}
     if isinstance(unit, TranslatedUnit):
         obj["translated_text"] = unit.translated_text
         obj["translator_id"] = unit.translator_id
     return obj
 
 
-_UNIT_VALUES = itemgetter(*_UNIT_FIELDS)  # in constructor order
+_UNIT_VALUES = itemgetter(*UNIT_FIELDS)  # in constructor order
 
 
 def unit_from_dict(obj: Mapping) -> TranslationUnit:

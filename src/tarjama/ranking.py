@@ -139,6 +139,16 @@ def rank_rows(rows: Iterable[dict],
     return ranking
 
 
+def winner_and_ranking(conversation_id: str, rows: Iterable[dict],
+                       weights: tuple[float, float, float]) -> tuple[dict, dict]:
+    """The ``winners.jsonl`` and ``ranking.jsonl`` rows of one conversation's
+    score rows."""
+    ranked = rank_rows(rows, weights)
+    return ({"conversation_id": conversation_id, "translator_id": ranked[0][0]},
+            {"conversation_id": conversation_id,
+             "ranking": [{"translator_id": t, "score": s} for t, s in ranked]})
+
+
 def rank_candidates(source: Conversation, candidates: Sequence[Candidate],
                     scorer: Optional[RewardScorer] = None,
                     weights: tuple[float, float, float] = DEFAULT_WEIGHTS,

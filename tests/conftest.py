@@ -57,12 +57,9 @@ def random_corpus(rng: random.Random, n: int, think_prob: float = 0.3,
     return conversations
 
 
-def single_chunk_plan(conversation: Conversation) -> dict[tuple[int, int], list[str]]:
+def single_chunk(text: str) -> list[str]:
     """One chunk per part."""
-    from tarjama.corpus import split_parts
-    return {(msg.index, part_index): [part.text]
-            for msg in conversation.messages
-            for part_index, part in enumerate(split_parts(msg.content))}
+    return [text]
 
 
 def corpus_jsonl(conversations) -> str:

@@ -16,8 +16,8 @@ from test_chunking import reference_plan, synthetic_text
 from test_metrics import reference_classify
 from test_ranking import GOLDEN_LEADERBOARD, golden_table, _simulate
 
-from tarjama.chunking import ChunkPolicy, plan_chunks
-from tarjama.cli import build_chunk_plan, main
+from tarjama.chunking import ChunkPolicy, chunker, plan_chunks
+from tarjama.cli import main
 from tarjama.corpus import decompose, identity_translate, load_corpus, reconstruct, write_corpus
 from tarjama.metrics import (CLASS_ARABIC, CLASS_IGNORE, CLASS_OTHER_LETTER,
                              classify_char, lr_score, LrInputs, script_purity,
@@ -138,10 +138,10 @@ def test_criterion_5_roundtrip_thousand_conversations(tmp_path):
     policy = ChunkPolicy(target_tokens=12, window_tokens=4, hard_cap_tokens=13)
     rebuilt = []
     multi_chunk_parts = 0
+    chunk = chunker(BUILTIN, policy)
     for conv in conversations:
-        plan = build_chunk_plan(conv, BUILTIN, policy)
-        multi_chunk_parts += sum(1 for chunks in plan.values() if len(chunks) > 1)
-        units = [identity_translate(u) for u in decompose(conv, plan)]
+        units = [identity_translate(u) for u in decompose(conv, chunk)]
+        multi_chunk_parts += sum(1 for u in units if u.chunk_index == 1)
         rng.shuffle(units)
         restored = reconstruct(units, split=conv.split)
         restored.category = conv.category

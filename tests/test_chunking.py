@@ -9,7 +9,7 @@ from tarjama import chunking
 from tarjama.chunking import (_SENTENCE_RE, _WHITESPACE_RE, BOUNDARY_END,
                               BOUNDARY_HARD, BOUNDARY_SENTENCE,
                               BOUNDARY_WHITESPACE, Chunk, ChunkPolicy,
-                              plan_chunks)
+                              chunker, plan_chunks)
 from tarjama.tokenizers import TokenizerSpec, tokenize
 
 BUILTIN = TokenizerSpec.builtin()
@@ -288,6 +288,20 @@ def test_count_only_path_boundaries(bpe_spec, monkeypatch):
             assert chunks == whole_text_plan(text, spec, policy)
             assert len(chunks) == 1 and chunks[0].boundary_kind == BOUNDARY_END
             assert calls == ([text] if tokenized else [])
+
+
+def test_chunker_takes_a_short_part_whole_and_plans_a_long_one(monkeypatch):
+    policy = ChunkPolicy(target_tokens=8, window_tokens=3, hard_cap_tokens=10)
+    chunk = chunker(BUILTIN, policy)
+    plans = []
+    monkeypatch.setattr(chunking, "plan_chunks",
+                        lambda *args: plans.append(args[0]) or plan_chunks(*args))
+    for text in ("", "#" * 10, "ab " * 3 + "a"):  # at most 10 characters
+        assert chunk(text) == [text]
+    assert plans == []
+    long_text = "one two. three four five six seven. eight nine ten eleven"
+    assert chunk(long_text) == [c.text for c in plan_chunks(long_text, BUILTIN, policy)]
+    assert len(chunk(long_text)) > 1 and plans == [long_text, long_text]
 
 
 class _RecordingPattern:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from operator import attrgetter
@@ -78,6 +79,57 @@ def test_pipeline_system_passthrough_flag(tmp_path):
     translated = load_corpus(out / "translated_corpus.jsonl")
     assert translated[0].messages[0].content == "keep"   # passed through
     assert translated[0].messages[1].content == "Y"
+
+
+def test_pipeline_passes_through_system_only_conversations_anywhere(tmp_path):
+    contents = {
+        "sys-first": [("system", "first note")],
+        "chat-1": [("system", "be brief"), ("user", "hi"), ("assistant", "ok")],
+        "sys-middle": [("system", "middle note"), ("system", "second note")],
+        "chat-2": [("user", "hi"), ("assistant", "<think>ok</think>ok")],
+        "sys-last": [("system", "last note")],
+    }
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text(corpus_jsonl([make_conversation(cid, contents=turns)
+                                         for cid, turns in contents.items()]),
+                           encoding="utf-8")
+    table = {"hi": "مرحبا", "ok": "حسنا"}
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps(table), encoding="utf-8")
+    out = tmp_path / "out"
+    rc, _ = run(["pipeline", "--input", str(corpus_path), "--out", str(out),
+                 "--backend", "mock-table", "--table", str(table_path),
+                 "--no-translate-system"], tmp_path)
+    assert rc == 0
+    units = [json.loads(line) for line in (out / "units.jsonl").read_text().splitlines()]
+    translated = [json.loads(line) for line in
+                  (out / "translated_units.jsonl").read_text().splitlines()]
+    assert [{k: u[k] for k in units[0]} for u in translated] == units
+    assert [u["translator_id"] for u in translated] == [
+        "passthrough" if u["role"] == "system" else "mock-table" for u in units]
+    translated_turns = {"chat-1": [("system", "be brief"), ("user", "مرحبا"),
+                                   ("assistant", "حسنا")],
+                        "chat-2": [("user", "مرحبا"), ("assistant", "<think>حسنا</think>حسنا")]}
+    assert load_corpus(out / "translated_corpus.jsonl") == [
+        make_conversation(cid, contents=translated_turns.get(cid, turns))
+        for cid, turns in contents.items()]
+
+
+def test_pipeline_splits_each_message_into_parts_three_times(
+        tmp_path, staged_corpus, monkeypatch):
+    corpus_path, _, table_path, ini = staged_corpus
+    import tarjama.corpus as corpus
+    real = corpus.split_parts
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tarjama") and getattr(module, "split_parts", None) is real:
+            monkeypatch.setattr(module, "split_parts",
+                                lambda content: calls.append(1) or real(content))
+    assert run(_pipeline_args(corpus_path, table_path, ini, tmp_path / "out"),
+               tmp_path)[0] == 0
+    # decompose, then the structure check of the source and of its candidate
+    messages = sum(len(conv.messages) for conv in load_corpus(corpus_path))
+    assert len(calls) == 3 * messages
 
 
 def test_decompose_enqueue_work_reconstruct_chain(tmp_path, fixture_corpus):
@@ -314,6 +366,28 @@ def test_reconstruct_from_translated_units_matches_pipeline(tmp_path, staged_cor
     assert rebuilt.read_bytes() == (out / "translated_corpus.jsonl").read_bytes()
 
 
+def test_reconstruct_from_queue_without_corpus_keeps_first_seen_order(tmp_path):
+    conversations = [make_conversation(cid, split="dev", category="math",
+                                       contents=[("user", f"hello {cid}")])
+                     for cid in ("b", "c", "a")]
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text(corpus_jsonl(conversations), encoding="utf-8")
+    units, queue, rebuilt = tmp_path / "units.jsonl", tmp_path / "queue", tmp_path / "r.jsonl"
+    assert run(["decompose", "--input", str(corpus_path), "--units-out", str(units)],
+               tmp_path)[0] == 0
+    assert run(["enqueue", "--units", str(units), "--queue", str(queue),
+                "--translator-id", "mock"], tmp_path)[0] == 0
+    assert len(list((queue / "pending").iterdir())) == 1
+    assert run(["work", "--queue", str(queue), "--worker-id", "w0",
+                "--backend", "mock-identity"], tmp_path)[0] == 0
+    assert run(["reconstruct", "--from-queue", str(queue), "--out", str(rebuilt)],
+               tmp_path)[0] == 0
+    # without --corpus, neither split nor category is known
+    assert load_corpus(rebuilt) == [
+        make_conversation(conv.id, split="", contents=[("user", f"hello {conv.id}")])
+        for conv in conversations]
+
+
 @pytest.mark.parametrize("inputs, message", [
     ([], "one of the arguments --translated-units --from-queue is required"),
     (["--translated-units", "t.jsonl", "--from-queue", "q"],
@@ -519,6 +593,52 @@ def test_scored_row_without_a_field_exits_1(tmp_path, capsys, subcommand, field)
     rc, manifest = run([subcommand, "--scored", str(scored), *outputs], tmp_path)
     assert rc == 1
     assert f"error: scored row has no {field!r} field" in capsys.readouterr().err
+    assert json.loads(manifest.read_text().splitlines()[-1])["exit_code"] == 1
+
+
+UNIT_ROW = {"conversation_id": "c", "message_index": 0, "part_type": "visible",
+            "part_index": 0, "chunk_index": 0, "chunk_count": 1, "role": "user",
+            "source_text": "hi", "translated_text": "hi", "translator_id": "t"}
+
+
+@pytest.mark.parametrize("subcommand, flag, bad_line, message", [
+    ("enqueue", "--units", "not json", "Expecting value: line 1 column 1 (char 0)"),
+    ("enqueue", "--units", json.dumps({"conversation_id": "a"}),
+     "unit row has no 'message_index' field"),
+    ("enqueue", "--units", "[1, 2]", "not a JSON object"),
+    ("reconstruct", "--translated-units", "{", "Expecting property name"),
+    ("reconstruct", "--translated-units",
+     json.dumps({k: v for k, v in UNIT_ROW.items() if k != "source_text"}),
+     "unit row has no 'source_text' field"),
+    ("score", "--candidates", "not json", "Expecting value"),
+    ("rank", "--scored", "not json", "Expecting value"),
+    ("stats", "--scored", "7", "not a JSON object"),
+    ("filter", "--scored", "{\"lr\": }", "Expecting value"),
+], ids=["enqueue-not-json", "enqueue-no-field", "enqueue-not-object", "reconstruct-not-json",
+        "reconstruct-no-field", "score-not-json", "rank-not-json", "stats-not-object",
+        "filter-not-json"])
+def test_bad_input_row_exits_1_naming_its_file_and_line(tmp_path, capsys, subcommand,
+                                                        flag, bad_line, message):
+    conv = make_conversation("c")
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text(corpus_jsonl([conv]), encoding="utf-8")
+    good_row = {"--units": UNIT_ROW, "--translated-units": UNIT_ROW, "--scored": SCORED_ROW,
+                "--candidates": {"conversation_id": "c", "translator_id": "t",
+                                 "conversation": conversation_to_dict(conv)}}[flag]
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(json.dumps(good_row) + "\n\n" + bad_line + "\n", encoding="utf-8")
+    outputs = {
+        "enqueue": ["--queue", str(tmp_path / "q"), "--translator-id", "t"],
+        "reconstruct": ["--out", str(tmp_path / "rebuilt.jsonl")],
+        "score": ["--corpus", str(corpus_path), "--out", str(tmp_path / "scored.jsonl")],
+        "rank": ["--winners-out", str(tmp_path / "winners.jsonl")],
+        "stats": ["--out", str(tmp_path / "report.md")],
+        "filter": ["--corpus", str(corpus_path), "--kept-out", str(tmp_path / "kept.jsonl"),
+                   "--rejected-out", str(tmp_path / "rejected.jsonl")],
+    }[subcommand]
+    rc, manifest = run([subcommand, flag, str(rows), *outputs], tmp_path)
+    assert rc == 1
+    assert f"error: {rows} line 3: {message}" in capsys.readouterr().err
     assert json.loads(manifest.read_text().splitlines()[-1])["exit_code"] == 1
 
 
@@ -882,3 +1002,24 @@ def test_config_backend_drives_pipeline(tmp_path):
     assert row["translator_id"] == "tbl"
     entry = json.loads(manifest.read_text().splitlines()[-1])
     assert entry["config_hash"] == load_config(str(ini)).config_hash()
+
+
+def test_manifest_hashes_the_table_file_of_the_config_backend(tmp_path):
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text(corpus_jsonl([make_conversation("c1", contents=[("user", "hi")])]),
+                           encoding="utf-8")
+    table_path = tmp_path / "tbl.json"
+    ini = tmp_path / "conf.ini"
+    ini.write_text(f"[backend]\nkind = mock-table\ntable_path = {table_path}\n",
+                   encoding="utf-8")
+    inputs = []
+    for n, translation in enumerate(["مرحبا", "أهلا"]):
+        table_path.write_text(json.dumps({"hi": translation}), encoding="utf-8")
+        rc, manifest = run(["pipeline", "--input", str(corpus_path),
+                            "--out", str(tmp_path / f"out-{n}"), "--config", str(ini)],
+                           tmp_path)
+        assert rc == 0
+        inputs.append(json.loads(manifest.read_text().splitlines()[-1])["inputs"])
+    assert [sorted(entry) for entry in inputs] == [
+        sorted([str(corpus_path), str(ini), str(table_path)])] * 2
+    assert inputs[0][str(table_path)] != inputs[1][str(table_path)]

@@ -61,3 +61,19 @@ def test_split_names_and_default_section_keys_are_free(tmp_path):
     cfg = load_config(str(path))
     assert cfg.filter_policy.min_lr == 0.2
     assert cfg.filter_policy.thresholds("Any_Split") == (0.1, 0.1)
+
+
+@pytest.mark.parametrize("ini, where", [
+    # the misspelt key leaves hard_cap_tokens at its default, under the target
+    ("[chunking]\ntarget_tokens = 600\nhard_cap_token = 700\n",
+     "[chunking] hard_cap_token: unknown key"),
+    ("[queue]\nbatch_size = eight\n\n[ranking]\nweight_lm = 1\n",
+     "[ranking] weight_lm: unknown key"),
+    ("[metrics]\nalpha = 0\n\n[metric]\ntau = 0.5\n", "[metric]: unknown section"),
+])
+def test_unknown_key_is_reported_before_any_value_error(tmp_path, ini, where):
+    path = tmp_path / "typo.ini"
+    path.write_text(ini, encoding="utf-8")
+    with pytest.raises(ConfigurationError) as exc:
+        load_config(str(path))
+    assert str(exc.value).startswith(where)

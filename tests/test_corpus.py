@@ -4,20 +4,18 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from tarjama.chunking import ChunkPolicy
-from tarjama.cli import build_chunk_plan
+from tarjama.chunking import ChunkPolicy, chunker
 from tarjama.corpus import (Candidate, Conversation, CorpusError,
                             IncompleteUnitSetError, LineError, Message, Part,
                             StructureMismatchError, ThinkSpanError,
                             UnitConsistencyError,
-                            decompose, group_units_by_conversation,
-                            identity_translate, join_parts, json_text, parse_corpus,
+                            decompose, identity_translate, join_parts, json_text, parse_corpus,
                             reconstruct, split_parts,
                             unit_from_dict, unit_to_dict,
                             validate_candidate_structure)
 from tarjama.tokenizers import TokenizerSpec
 
-from conftest import corpus_jsonl, make_conversation, random_corpus, single_chunk_plan
+from conftest import corpus_jsonl, make_conversation, random_corpus, single_chunk
 
 
 def test_parse_minimal_line():
@@ -127,7 +125,7 @@ def test_split_join_roundtrip(content):
 
 def test_decompose_two_messages_single_chunks():
     conv = make_conversation("c", contents=[("user", "hi"), ("assistant", "ok")])
-    units = decompose(conv, single_chunk_plan(conv))
+    units = decompose(conv, single_chunk)
     assert len(units) == 2
     assert all(u.chunk_count == 1 for u in units)
     assert [u.message_index for u in units] == [0, 1]
@@ -135,28 +133,22 @@ def test_decompose_two_messages_single_chunks():
 
 def test_decompose_think_then_visible():
     conv = make_conversation("c", contents=[("assistant", "<think>T</think>R")])
-    units = decompose(conv, single_chunk_plan(conv))
+    units = decompose(conv, single_chunk)
     assert [(u.part_type, u.source_text) for u in units] == [("think", "T"), ("visible", "R")]
     assert [u.part_index for u in units] == [0, 1]
 
 
 def test_decompose_three_chunks():
     conv = make_conversation("c", contents=[("user", "abcdef")])
-    units = decompose(conv, {(0, 0): ["ab", "cd", "ef"]})
+    units = decompose(conv, {"abcdef": ["ab", "cd", "ef"]}.get)
     assert [u.chunk_index for u in units] == [0, 1, 2]
     assert all(u.chunk_count == 3 for u in units)
-
-
-def test_decompose_missing_part_errors():
-    conv = make_conversation("c", contents=[("user", "hi"), ("assistant", "ok")])
-    with pytest.raises(UnitConsistencyError, match="missing part"):
-        decompose(conv, {(0, 0): ["hi"]})
 
 
 def test_decompose_plan_must_concatenate():
     conv = make_conversation("c", contents=[("user", "abc")])
     with pytest.raises(UnitConsistencyError, match="concatenate"):
-        decompose(conv, {(0, 0): ["ab", "x"]})
+        decompose(conv, {"abc": ["ab", "x"]}.get)
 
 
 def test_reconstruct_identity_roundtrip():
@@ -165,7 +157,7 @@ def test_reconstruct_identity_roundtrip():
         ("user", "hello there"),
         ("assistant", "<think>plan</think>answer"),
     ])
-    units = [identity_translate(u) for u in decompose(conv, single_chunk_plan(conv))]
+    units = [identity_translate(u) for u in decompose(conv, single_chunk)]
     rebuilt = reconstruct(units, split=conv.split)
     assert rebuilt == conv
 
@@ -173,7 +165,7 @@ def test_reconstruct_identity_roundtrip():
 def test_reconstruct_order_independent():
     conv = make_conversation("c", contents=[("user", "abcdef"), ("assistant", "xyz")])
     units = [identity_translate(u)
-             for u in decompose(conv, {(0, 0): ["ab", "cd", "ef"], (1, 0): ["xyz"]})]
+             for u in decompose(conv, {"abcdef": ["ab", "cd", "ef"], "xyz": ["xyz"]}.get)]
     shuffled = units[:]
     random.Random(7).shuffle(shuffled)
     assert reconstruct(shuffled, split=conv.split) == reconstruct(units, split=conv.split)
@@ -181,7 +173,7 @@ def test_reconstruct_order_independent():
 
 def test_reconstruct_missing_chunk_names_tuple():
     conv = make_conversation("c", contents=[("user", "abcdef")])
-    units = [identity_translate(u) for u in decompose(conv, {(0, 0): ["ab", "cd", "ef"]})]
+    units = [identity_translate(u) for u in decompose(conv, {"abcdef": ["ab", "cd", "ef"]}.get)]
     del units[1]
     with pytest.raises(IncompleteUnitSetError) as err:
         reconstruct(units)
@@ -190,7 +182,7 @@ def test_reconstruct_missing_chunk_names_tuple():
 
 def test_reconstruct_conflicting_chunk_count():
     conv = make_conversation("c", contents=[("user", "abcd")])
-    units = [identity_translate(u) for u in decompose(conv, {(0, 0): ["ab", "cd"]})]
+    units = [identity_translate(u) for u in decompose(conv, {"abcd": ["ab", "cd"]}.get)]
     units[1].chunk_count = 3
     with pytest.raises(UnitConsistencyError, match="chunk_count"):
         reconstruct(units)
@@ -210,29 +202,18 @@ def test_roundtrip_property_with_chunked_plans(data):
         contents.append((role, body))
     conv = make_conversation("prop", contents=contents)
     policy = ChunkPolicy(target_tokens=6, window_tokens=2, hard_cap_tokens=7)
-    plan = build_chunk_plan(conv, TokenizerSpec.builtin(), policy)
-    units = [identity_translate(u) for u in decompose(conv, plan)]
+    units = [identity_translate(u)
+             for u in decompose(conv, chunker(TokenizerSpec.builtin(), policy))]
     assert reconstruct(units, split=conv.split) == conv
 
 
 def test_unit_dict_roundtrip():
     conv = make_conversation("c")
-    unit = decompose(conv, single_chunk_plan(conv))[0]
+    unit = decompose(conv, single_chunk)[0]
     assert unit_from_dict(unit_to_dict(unit)) == unit
     translated = identity_translate(unit, "mock")
     restored = unit_from_dict(unit_to_dict(translated))
     assert restored == translated
-
-
-def test_group_units_preserves_first_seen_order():
-    a = make_conversation("a")
-    b = make_conversation("b")
-    units = []
-    for conv in (b, a):
-        units.extend(identity_translate(u)
-                     for u in decompose(conv, single_chunk_plan(conv)))
-    grouped = group_units_by_conversation(units)
-    assert list(grouped) == ["b", "a"]
 
 
 def test_candidate_structure_validation():

@@ -12,8 +12,7 @@ from typing import Optional, Sequence
 
 import pytest
 
-from tarjama.chunking import ChunkPolicy
-from tarjama.cli import build_chunk_plan
+from tarjama.chunking import ChunkPolicy, chunker
 from tarjama.corpus import (Conversation, CorpusError, IncompleteUnitSetError,
                             Message, Part, TranslatedUnit, UnitConsistencyError,
                             decompose, identity_translate, join_parts,
@@ -99,8 +98,8 @@ def _random_units(rng: random.Random) -> list[TranslatedUnit]:
             body += f"<think>{random_text(rng, LATIN_WORDS, rng.randint(1, 6))}</think>"
         contents.append((role, body))
     conv = make_conversation(f"c{rng.randrange(3)}", contents=contents)
-    plan = build_chunk_plan(conv, TokenizerSpec.builtin(), _POLICY)
-    return [identity_translate(u, "t") for u in decompose(conv, plan)]
+    return [identity_translate(u, "t")
+            for u in decompose(conv, chunker(TokenizerSpec.builtin(), _POLICY))]
 
 
 def _with(unit: TranslatedUnit, **changes) -> TranslatedUnit:
