@@ -15,14 +15,14 @@ import sys
 import time
 from contextlib import ExitStack
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__, uniscript
 from .backends import BackendError, HttpRewardScorer, TranslatorBackend
 from .chunking import ChunkPolicy, chunker
 from .config import (BackendConfig, ConfigurationError, PipelineConfig, checked_alpha,
                      checked_tau, checked_weights, load_config, _parse_ratios)
-from .corpus import (UNIT_FIELDS, Candidate, CorpusError, conversation_from_dict,
+from .corpus import (Candidate, CorpusError, check_unit_record, conversation_from_dict,
                      conversation_to_dict, decompose, json_text, jsonl_line,
                      load_corpus, rebuild_conversations, unit_from_dict, unit_to_dict,
                      write_corpus, write_jsonl, write_units)
@@ -32,7 +32,7 @@ from .ranking import (FitError, PreferenceRecord, bt_fit, row_field, row_quality
 from .stats import (ReportMeta, StrataPolicy, aggregate_split,
                     apply_filter, emit_report, stratified_sample,
                     summarize_config)
-from .workqueue import enqueue, pack_batches, queue_status, worker_loop
+from .workqueue import done_unit_dicts, enqueue, pack_batches, queue_status, worker_loop
 
 logger = logging.getLogger(__name__)
 
@@ -47,23 +47,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_rows(path: str, fields: Sequence[str] = (), what: str = "") -> Iterator[dict]:
+def _read_rows(path: str, check: Optional[Callable[[dict], None]] = None) -> Iterator[dict]:
     """The JSON object on each non-blank line of *path*.  CorpusError names
-    the line of one that is not an object or lacks one of *fields*."""
+    the line of one that is not an object or that *check* rejects."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise ValueError("not a JSON object")
+                if check is not None:
+                    check(row)
             except ValueError as exc:
                 raise CorpusError(f"{path} line {line_no}: {exc}") from None
-            if not isinstance(row, dict):
-                raise CorpusError(f"{path} line {line_no}: not a JSON object")
-            for field in fields:
-                if field not in row:
-                    raise CorpusError(f"{path} line {line_no}: {what} row has no "
-                                      f"{field!r} field")
             yield row
 
 
@@ -137,7 +135,7 @@ def cmd_decompose(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_enqueue(args, cfg: PipelineConfig) -> int:
-    units = [unit_from_dict(row) for row in _read_rows(args.units, UNIT_FIELDS, "unit")]
+    units = [unit_from_dict(row) for row in _read_rows(args.units, check_unit_record)]
     tasks = enqueue(args.queue, units, args.translator_id, batch_size=cfg.batch_size,
                     char_budget=cfg.batch_size * cfg.chunk_policy.hard_cap_tokens)
     print(f"enqueued {len(units)} units as {len(tasks)} tasks in {args.queue}")
@@ -155,38 +153,12 @@ def cmd_work(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _done_unit_dicts(queue_dir,
-                     task_ids: Optional[Iterable[str]] = None) -> Iterator[dict]:
-    """The unit dicts of every done/ record in sorted order, or of
-    *task_ids*' records in the given order, each checked to hold a
-    translation.  CorpusError names a missing record and quotes the reason
-    of the task's failed/ record, if it has one."""
-    done = Path(queue_dir) / "done"
-    paths = (sorted(done.glob("*.json")) if task_ids is None
-             else (done / f"{task_id}.json" for task_id in task_ids))
-    for path in paths:
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            message = f"task {path.stem} has no done/ record"
-            failed = Path(queue_dir) / "failed" / path.name
-            if failed.is_file():
-                record = json.loads(failed.read_text(encoding="utf-8"))
-                message += f"; its failed/ record says: {record['reason']}"
-            raise CorpusError(message) from None
-        for obj in record["units"]:
-            if "translated_text" not in obj:
-                raise CorpusError(f"{path}: done record holds a unit "
-                                  "without 'translated_text'")
-            yield obj
-
-
 def cmd_reconstruct(args, cfg: PipelineConfig) -> int:
     if args.translated_units:
-        objs = (row for row in _read_rows(args.translated_units, UNIT_FIELDS, "unit")
+        objs = (row for row in _read_rows(args.translated_units, check_unit_record)
                 if "translated_text" in row)
     else:
-        objs = _done_unit_dicts(args.from_queue)
+        objs = done_unit_dicts(args.from_queue)
     grouped: dict[str, list[dict]] = {}  # in first-seen order
     for obj in objs:
         grouped.setdefault(obj["conversation_id"], []).append(obj)
@@ -202,11 +174,17 @@ def cmd_reconstruct(args, cfg: PipelineConfig) -> int:
     return 0
 
 
+def _check_candidate(row: dict) -> None:
+    for field in Candidate._fields:
+        if field not in row:
+            raise ValueError(f"candidate row has no {field!r} field")
+
+
 def _load_candidates(path: str) -> list[Candidate]:
     """The candidates file's rows; CorpusError names a row's missing field."""
     return [Candidate(row["conversation_id"], row["translator_id"],
                       conversation_from_dict(row["conversation"]))
-            for row in _read_rows(path, Candidate._fields, "candidate")]
+            for row in _read_rows(path, _check_candidate)]
 
 
 def cmd_score(args, cfg: PipelineConfig) -> int:
@@ -392,7 +370,7 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
     # line is the JSON of its dict, and the rebuilt conversation's JSON
     # serves both corpus and candidate line.
     def translated_units() -> Iterator[dict]:
-        done = _done_unit_dicts(queue_dir, task_ids)
+        done = done_unit_dicts(queue_dir, task_ids)
         obj = next(done, None)
         for conv in conversations:
             yield from passthrough.pop(conv.id, ())
@@ -614,7 +592,7 @@ def _append_manifest(args, cfg: PipelineConfig, exit_code: int) -> None:
     }
     try:
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
+            fh.write(jsonl_line(entry))
     except OSError as exc:
         logger.warning("could not append run manifest %s: %s", path, exc)
 

@@ -14,7 +14,7 @@ import logging
 import re
 from itertools import groupby
 from json.encoder import c_make_encoder, encode_basestring
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence, Union)
@@ -110,8 +110,16 @@ class Part(NamedTuple):
     text: str
 
 
+# A unit record is a unit's JSON object: these fields, and once translated,
+# ``translated_text`` and ``translator_id``.  A translated unit is only this.
 UNIT_FIELDS = ("conversation_id", "message_index", "part_type", "part_index",
                "chunk_index", "chunk_count", "role", "source_text")
+
+
+def check_chunk_range(chunk_index: int, chunk_count: int) -> None:
+    if not 0 <= chunk_index < chunk_count:
+        raise ValueError(f"chunk_index must be in [0, chunk_count), not {chunk_index} "
+                         f"of {chunk_count}")
 
 
 class TranslationUnit:
@@ -120,10 +128,7 @@ class TranslationUnit:
     def __init__(self, conversation_id: str, message_index: int, part_type: str,
                  part_index: int, chunk_index: int, chunk_count: int, role: str,
                  source_text: str) -> None:
-        if chunk_count <= 0:
-            raise ValueError("chunk_count must be positive")
-        if not 0 <= chunk_index < chunk_count:
-            raise ValueError("chunk_index must be in [0, chunk_count)")
+        check_chunk_range(chunk_index, chunk_count)
         self.conversation_id = conversation_id
         self.message_index = message_index
         self.part_type = part_type
@@ -142,19 +147,6 @@ class TranslationUnit:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return unit_to_dict(self) == unit_to_dict(other)
-
-
-class TranslatedUnit(TranslationUnit):
-    __slots__ = ("translated_text", "translator_id")
-
-    def __init__(self, conversation_id: str, message_index: int, part_type: str,
-                 part_index: int, chunk_index: int, chunk_count: int, role: str,
-                 source_text: str, translated_text: str = "",
-                 translator_id: str = "") -> None:
-        TranslationUnit.__init__(self, conversation_id, message_index, part_type,
-                                 part_index, chunk_index, chunk_count, role, source_text)
-        self.translated_text = translated_text
-        self.translator_id = translator_id
 
 
 class Candidate(NamedTuple):
@@ -352,37 +344,39 @@ def decompose(conversation: Conversation,
     return units
 
 
-_CHUNK_ORDER = attrgetter("message_index", "part_index", "chunk_index")
-_PART_OF = attrgetter("message_index", "part_index")
-_TRANSLATED_TEXT = attrgetter("translated_text")
+_CHUNK_ORDER = itemgetter("message_index", "part_index", "chunk_index")
+_PART_OF = itemgetter("message_index", "part_index")
+_UNIT_KEY = itemgetter("conversation_id", "message_index", "part_index", "chunk_index")
+_TRANSLATED_TEXT = itemgetter("translated_text")
 _KIND_TEXT = itemgetter(3, 4)
 
 
 def _part_conflict(msg_idx: int, part_idx: int,
-                   chunks: Sequence[TranslatedUnit]) -> Optional[UnitConsistencyError]:
+                   chunks: Sequence[Mapping]) -> Optional[UnitConsistencyError]:
     """The error for chunks of one part that disagree, or None."""
-    counts = {u.chunk_count for u in chunks}
+    counts = {u["chunk_count"] for u in chunks}
     if len(counts) > 1:
         return UnitConsistencyError(
             f"conflicting chunk_count for part ({msg_idx}, {part_idx}): {sorted(counts)}")
-    if len({u.part_type for u in chunks}) > 1:
+    if len({u["part_type"] for u in chunks}) > 1:
         return UnitConsistencyError(f"conflicting part_type for part ({msg_idx}, {part_idx})")
-    if len({u.role for u in chunks}) > 1:
+    if len({u["role"] for u in chunks}) > 1:
         return UnitConsistencyError(f"conflicting role in message {msg_idx}")
     return None
 
 
-def _first_duplicate(units: Sequence[TranslatedUnit]) -> tuple:
+def _first_duplicate(units: Sequence[Mapping]) -> tuple:
     seen = set()
-    for unit in units:
-        if unit.key in seen:
-            return unit.key
-        seen.add(unit.key)
+    for key in map(_UNIT_KEY, units):
+        if key in seen:
+            return key
+        seen.add(key)
 
 
-def reconstruct(units: Sequence[TranslatedUnit], split: str = "",
+def reconstruct(units: Sequence[Mapping], split: str = "",
                 category: Optional[str] = None) -> Conversation:
-    """Rebuild one conversation from a complete set of translated units.
+    """Rebuild one conversation from the records of a complete set of
+    translated units.
 
     Insensitive to input order: one pass over the units sorted by
     (message, part, chunk) index.  Raises IncompleteUnitSetError when
@@ -395,10 +389,10 @@ def reconstruct(units: Sequence[TranslatedUnit], split: str = "",
     """
     if not units:
         raise IncompleteUnitSetError([("<no units>",)])
-    conv_ids = set(map(attrgetter("conversation_id"), units))
+    conv_ids = set(map(itemgetter("conversation_id"), units))
     if len(conv_ids) > 1:
         raise UnitConsistencyError(f"units span multiple conversations: {sorted(conv_ids)}")
-    conv_id = units[0].conversation_id
+    conv_id = units[0]["conversation_id"]
 
     conflict: Optional[UnitConsistencyError] = None
     missing: list[tuple] = []
@@ -406,19 +400,19 @@ def reconstruct(units: Sequence[TranslatedUnit], split: str = "",
     for (msg_idx, part_idx), group in groupby(sorted(units, key=_CHUNK_ORDER), _PART_OF):
         chunks = list(group)
         if len(chunks) > 1:
-            if len({u.chunk_index for u in chunks}) < len(chunks):
+            if len({u["chunk_index"] for u in chunks}) < len(chunks):
                 raise UnitConsistencyError(
                     f"duplicate chunk {_first_duplicate(units)} in conversation {conv_id!r}")
             conflict = conflict or _part_conflict(msg_idx, part_idx, chunks)
         if conflict is not None:
             continue  # only a repeated chunk can still outrank it
         first = chunks[0]
-        if len(chunks) != first.chunk_count:
-            present = {u.chunk_index for u in chunks}
+        if len(chunks) != first["chunk_count"]:
+            present = {u["chunk_index"] for u in chunks}
             missing.extend((msg_idx, part_idx, i)
-                           for i in range(first.chunk_count) if i not in present)
+                           for i in range(first["chunk_count"]) if i not in present)
             continue
-        parts.append((msg_idx, part_idx, first.role, first.part_type,
+        parts.append((msg_idx, part_idx, first["role"], first["part_type"],
                       "".join(map(_TRANSLATED_TEXT, chunks))))
     if conflict is not None:
         raise conflict
@@ -450,10 +444,10 @@ _UNIT_ORDER = itemgetter("message_index", "part_index", "chunk_index")
 def rebuild_conversations(
         sources: Iterable[tuple[str, str, Optional[str]]],
         unit_dicts: Iterable[Mapping]) -> Iterator[tuple[list[Mapping], Conversation]]:
-    """Per ``(id, split, category)`` source, its unit dicts in ``units.jsonl``
-    order and the conversation they rebuild.  *unit_dicts* hold each source's
-    translated units together, in source order; CorpusError names a source
-    without units."""
+    """Per ``(id, split, category)`` source, its translated unit records in
+    ``units.jsonl`` order and the conversation they rebuild.  *unit_dicts*
+    hold each source's records together, in source order; CorpusError names
+    a source without units."""
     groups = groupby(unit_dicts, itemgetter("conversation_id"))
     group_id, group = next(groups, (None, ()))
     for conv_id, split, category in sources:
@@ -461,14 +455,7 @@ def rebuild_conversations(
             raise CorpusError(f"no translated units for conversation {conv_id!r}")
         objs = sorted(group, key=_UNIT_ORDER)
         group_id, group = next(groups, (None, ()))
-        yield objs, reconstruct(list(map(unit_from_dict, objs)), split, category)
-
-
-def identity_translate(unit: TranslationUnit,
-                       translator_id: str = "identity") -> TranslatedUnit:
-    fields = {name: getattr(unit, name) for name in UNIT_FIELDS}
-    return TranslatedUnit(**fields, translated_text=unit.source_text,
-                          translator_id=translator_id)
+        yield objs, reconstruct(objs, split, category)
 
 
 def validate_candidate_structure(source: Conversation, candidate: Candidate) -> None:
@@ -492,21 +479,32 @@ def validate_candidate_structure(source: Conversation, candidate: Candidate) -> 
 # -- unit file I/O -----------------------------------------------------------
 
 
+_RECORD_TYPES = dict(zip(UNIT_FIELDS, (str, int, str, int, int, int, str, str)),
+                     translated_text=str)
+
+
+def check_unit_record(obj: Mapping) -> None:
+    """ValueError unless *obj* holds every ``UNIT_FIELDS`` field, each field
+    and a ``translated_text`` it may have with its JSON type, and a chunk
+    index within its chunk count."""
+    for name in UNIT_FIELDS:
+        if name not in obj:
+            raise ValueError(f"unit row has no {name!r} field")
+    for name, kind in _RECORD_TYPES.items():
+        if name in obj and type(obj[name]) is not kind:  # JSON booleans are no integers
+            raise ValueError(f"unit row field {name!r} must be {kind.__name__}, "
+                             f"not {obj[name]!r}")
+    check_chunk_range(obj["chunk_index"], obj["chunk_count"])
+
+
 def unit_to_dict(unit: TranslationUnit) -> dict:
-    obj = {name: getattr(unit, name) for name in UNIT_FIELDS}
-    if isinstance(unit, TranslatedUnit):
-        obj["translated_text"] = unit.translated_text
-        obj["translator_id"] = unit.translator_id
-    return obj
+    return {name: getattr(unit, name) for name in UNIT_FIELDS}
 
 
 _UNIT_VALUES = itemgetter(*UNIT_FIELDS)  # in constructor order
 
 
 def unit_from_dict(obj: Mapping) -> TranslationUnit:
-    if "translated_text" in obj:
-        return TranslatedUnit(*_UNIT_VALUES(obj), obj["translated_text"],
-                              obj.get("translator_id", ""))
     return TranslationUnit(*_UNIT_VALUES(obj))
 
 

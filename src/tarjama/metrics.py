@@ -15,10 +15,13 @@ class of the base character before it.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
+import string
 import unicodedata
-from typing import Iterable, NamedTuple, Optional
+from functools import partial
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from . import uniscript
 from .corpus import Candidate, Conversation, validate_candidate_structure
@@ -107,20 +110,81 @@ def language_ratio(source: str, target: str, alpha: float = DEFAULT_ALPHA) -> fl
 
 # -- whitelist stripping -----------------------------------------------------
 
+_URL_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9+.-]*://|www\.)\S+")
+_EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")
+_LETTER_RE = re.compile("[A-Za-z]")
+_SCHEME_CHARS = frozenset(string.ascii_letters + string.digits + "+.-")
+_LOCAL_PART_CHARS = frozenset(string.ascii_letters + string.digits + "._%+-")
+
+
+def _find_all(text: str, literal: str) -> Iterator[int]:
+    at = text.find(literal)
+    while at != -1:
+        yield at
+        at = text.find(literal, at + 1)
+
+
+def _run_start(text: str, end: int, chars: frozenset) -> int:
+    """Where the run of *chars* that ends at *end* starts."""
+    start = end
+    while start and text[start - 1] in chars:
+        start -= 1
+    return start
+
+
+def _strip_from(pattern: re.Pattern, starts: Iterable[int], text: str) -> str:
+    """``pattern.sub("", text)`` for a pattern whose leftmost match at or
+    after any position ``pos`` starts at ``max(s, pos)`` for one of the
+    ascending *starts* ``s``.  Only those positions are tried; ``sub``
+    tries every one, and each failed try can scan the rest of a word, which
+    is quadratic in a long run of letters."""
+    kept, pos = [], 0
+    for start in starts:
+        match = pattern.match(text, max(start, pos))
+        if match is not None:
+            kept.append(text[pos:match.start()])
+            pos = match.end()
+    kept.append(text[pos:])
+    return "".join(kept)
+
+
+def _scheme_starts(text: str) -> Iterator[int]:
+    """The first letter of the scheme characters before each ``://``."""
+    for at in _find_all(text, "://"):
+        letter = _LETTER_RE.search(text, _run_start(text, at, _SCHEME_CHARS), at)
+        if letter is not None:
+            yield letter.start()
+
+
+# A URL match runs from its start to the next whitespace, so the next
+# match starts past whitespace, where no scheme run reaches back.  An email
+# match holds one "@" and starts where the local-part run before it does,
+# or at the end of the match before it.
+def _strip_urls(text: str) -> str:
+    return _strip_from(_URL_RE, heapq.merge(_scheme_starts(text), _find_all(text, "www.")),
+                       text)
+
+
+def _strip_emails(text: str) -> str:
+    return _strip_from(_EMAIL_RE, (_run_start(text, at, _LOCAL_PART_CHARS)
+                                   for at in _find_all(text, "@")), text)
+
+
 # Fenced code and \(..\)/\[..\] math extend to end of text when
 # unterminated; inline code requires a closing backtick; dollar math
 # requires a closer within 200 characters so currency amounts survive.
-# Each pattern runs only when the text holds one of its literals, which
-# every match of that pattern contains.
-_STRIP_PATTERNS = (
-    (("```",), re.compile(r"```.*?(?:```|\Z)", re.DOTALL)),
-    (("`",), re.compile(r"`[^`]*`")),
-    (("$$",), re.compile(r"\$\$.{0,200}?\$\$", re.DOTALL)),
-    (("$",), re.compile(r"\$.{0,200}?\$", re.DOTALL)),
-    (("\\(",), re.compile(r"\\\(.*?(?:\\\)|\Z)", re.DOTALL)),
-    (("\\[",), re.compile(r"\\\[.*?(?:\\\]|\Z)", re.DOTALL)),
-    (("://", "www."), re.compile(r"(?:[A-Za-z][A-Za-z0-9+.-]*://|www\.)\S+")),
-    (("@",), re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")),
+# Each strip runs only when the text holds one of its literals, which
+# every span it removes contains; URL and email spans are found from
+# their literals.
+_STRIPS = (
+    (("```",), partial(re.compile(r"```.*?(?:```|\Z)", re.DOTALL).sub, "")),
+    (("`",), partial(re.compile(r"`[^`]*`").sub, "")),
+    (("$$",), partial(re.compile(r"\$\$.{0,200}?\$\$", re.DOTALL).sub, "")),
+    (("$",), partial(re.compile(r"\$.{0,200}?\$", re.DOTALL).sub, "")),
+    (("\\(",), partial(re.compile(r"\\\(.*?(?:\\\)|\Z)", re.DOTALL).sub, "")),
+    (("\\[",), partial(re.compile(r"\\\[.*?(?:\\\]|\Z)", re.DOTALL).sub, "")),
+    (("://", "www."), _strip_urls),
+    (("@",), _strip_emails),
 )
 
 
@@ -129,10 +193,10 @@ def strip_whitelisted(text: str) -> str:
     operation is idempotent even when a removal juxtaposes new spans."""
     while True:
         stripped = text
-        for literals, pattern in _STRIP_PATTERNS:
+        for literals, strip in _STRIPS:
             for literal in literals:
                 if literal in stripped:
-                    stripped = pattern.sub("", stripped)
+                    stripped = strip(stripped)
                     break
         if stripped == text:
             return stripped

@@ -190,15 +190,6 @@ class BtScores(NamedTuple):
     loglik_trace: Sequence[float] = ()
 
 
-def bt_prob(s_i: float, s_j: float) -> float:
-    """P(i beats j) under Bradley-Terry, computed overflow-safely."""
-    diff = s_j - s_i
-    if diff >= 0:
-        z = math.exp(-diff)
-        return z / (1.0 + z)
-    return 1.0 / (1.0 + math.exp(diff))
-
-
 def _connected(systems: list[str], wins: dict[tuple[str, str], float]) -> bool:
     if len(systems) <= 1:
         return True

@@ -7,7 +7,7 @@ import json
 import math
 import random
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, TypeVar
+from typing import Mapping, NamedTuple, Sequence, TypeVar
 
 from . import uniscript
 from .corpus import Conversation
@@ -168,7 +168,6 @@ def largest_remainder_counts(ratios: dict[str, int], total: int) -> dict[str, in
 
 
 def stratified_sample(examples: Sequence[T], policy: StrataPolicy, seed: int,
-                      category_key: Optional[Callable[[T], Optional[str]]] = None,
                       strict: bool = True) -> list[T]:
     """Sample without replacement in fixed category proportions.
 
@@ -176,11 +175,9 @@ def stratified_sample(examples: Sequence[T], policy: StrataPolicy, seed: int,
     category that cannot fill its quota raises; otherwise the shortfall
     is redistributed to categories that still have spare examples.
     Deterministic for a given seed; output preserves input order."""
-    if category_key is None:
-        category_key = lambda e: getattr(e, "category", None)
     pools: dict[str, list[int]] = {c: [] for c in policy.ratios}
     for idx, example in enumerate(examples):
-        cat = category_key(example)
+        cat = getattr(example, "category", None)
         if cat in pools:
             pools[cat].append(idx)
 

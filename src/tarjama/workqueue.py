@@ -22,7 +22,8 @@ Task ids are content hashes of the translator id and the batch's units
 JSON, so re-enqueueing the same units is a no-op; that JSON is joined from
 the units' own JSON texts and the pending record is written around it.  A
 claimed task keeps the unit dicts decoded from its pending record, and its
-done record adds the translation fields to those dicts.
+done record adds the translation fields to those dicts.  Only this module
+builds queue paths and reads queue records.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Optional,
                     Sequence, Union)
 
 from .backends import BackendError, BudgetExceededError, TranslatorBackend, translate_chunk
-from .corpus import TranslationUnit, json_text, unit_from_dict, unit_to_dict
+from .corpus import (CorpusError, TranslationUnit, check_unit_record, json_text,
+                     unit_from_dict, unit_to_dict)
 
 logger = logging.getLogger(__name__)
 
@@ -253,7 +255,7 @@ def _try_lock(lock_path: Path, lease: Lease) -> bool:
     except FileExistsError:
         return False
     with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        json.dump(lease._asdict(), fh)
+        fh.write(json_text(lease._asdict()))
     return True
 
 
@@ -390,6 +392,35 @@ def fail_task(queue_dir: Union[str, Path], task: Task, worker_id: str,
     _atomic_write_json(dirs["failed"] / f"{task.task_id}.json", json_text(record))
     (dirs["pending"] / f"{task.task_id}.json").unlink(missing_ok=True)
     (dirs["leases"] / f"{task.task_id}.lock").unlink(missing_ok=True)
+
+
+def done_unit_dicts(queue_dir: Union[str, Path],
+                    task_ids: Optional[Iterable[str]] = None) -> Iterator[dict]:
+    """The translated unit records of every done/ record in sorted order, or
+    of *task_ids*' records in the given order.  CorpusError names a bad or
+    missing record, quoting the reason its failed/ record gives, if any."""
+    dirs = _dirs(queue_dir)
+    paths = (sorted(dirs["done"].glob("*.json")) if task_ids is None
+             else (dirs["done"] / f"{task_id}.json" for task_id in task_ids))
+    for path in paths:
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+            for obj in record["units"]:
+                if "translated_text" not in obj:
+                    raise ValueError("done record holds a unit without 'translated_text'")
+                check_unit_record(obj)
+        except FileNotFoundError:
+            message = f"task {path.stem} has no done/ record"
+            failed = dirs["failed"] / path.name
+            if failed.is_file():
+                record = json.loads(failed.read_text(encoding="utf-8"))
+                message += f"; its failed/ record says: {record['reason']}"
+            raise CorpusError(message) from None
+        except (LookupError, TypeError):
+            raise CorpusError(f"{path}: not a done record of unit objects") from None
+        except ValueError as exc:
+            raise CorpusError(f"{path}: {exc}") from None
+        yield from record["units"]
 
 
 def queue_status(queue_dir: Union[str, Path],

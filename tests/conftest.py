@@ -1,11 +1,12 @@
 import json
+import math
 import random
 import re
 from pathlib import Path
 
 import pytest
 
-from tarjama.corpus import Conversation, Message
+from tarjama.corpus import Conversation, Message, TranslationUnit, unit_to_dict
 from tarjama.tokenizers import TokenizerSpec
 
 ARABIC_WORDS = ["مرحبا", "بالعالم", "كتاب", "جميل", "ترجمة", "نص", "سؤال",
@@ -60,6 +61,21 @@ def random_corpus(rng: random.Random, n: int, think_prob: float = 0.3,
 def single_chunk(text: str) -> list[str]:
     """One chunk per part."""
     return [text]
+
+
+def identity_translate(unit: TranslationUnit, translator_id: str = "identity") -> dict:
+    """The translated unit record of *unit* under the identity translation."""
+    return dict(unit_to_dict(unit), translated_text=unit.source_text,
+                translator_id=translator_id)
+
+
+def bt_prob(s_i: float, s_j: float) -> float:
+    """P(i beats j) under Bradley-Terry, computed overflow-safely."""
+    diff = s_j - s_i
+    if diff >= 0:
+        z = math.exp(-diff)
+        return z / (1.0 + z)
+    return 1.0 / (1.0 + math.exp(diff))
 
 
 def corpus_jsonl(conversations) -> str:

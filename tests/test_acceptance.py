@@ -11,18 +11,18 @@ import time
 import pytest
 
 import tests_queue_helpers as helpers
-from conftest import corpus_jsonl, random_corpus
+from conftest import bt_prob, corpus_jsonl, identity_translate, random_corpus
 from test_chunking import reference_plan, synthetic_text
 from test_metrics import reference_classify
 from test_ranking import GOLDEN_LEADERBOARD, golden_table, _simulate
 
 from tarjama.chunking import ChunkPolicy, chunker, plan_chunks
 from tarjama.cli import main
-from tarjama.corpus import decompose, identity_translate, load_corpus, reconstruct, write_corpus
+from tarjama.corpus import decompose, load_corpus, reconstruct, write_corpus
 from tarjama.metrics import (CLASS_ARABIC, CLASS_IGNORE, CLASS_OTHER_LETTER,
                              classify_char, lr_score, LrInputs, script_purity,
                              ScrParams, strip_whitelisted)
-from tarjama.ranking import PreferenceRecord, average_rank, bt_fit, bt_prob
+from tarjama.ranking import PreferenceRecord, average_rank, bt_fit
 from tarjama.stats import REPORT_COLUMNS, StrataPolicy, stratified_sample
 from tarjama.tokenizers import TokenizerSpec
 from tarjama.workqueue import enqueue, queue_status
@@ -141,7 +141,7 @@ def test_criterion_5_roundtrip_thousand_conversations(tmp_path):
     chunk = chunker(BUILTIN, policy)
     for conv in conversations:
         units = [identity_translate(u) for u in decompose(conv, chunk)]
-        multi_chunk_parts += sum(1 for u in units if u.chunk_index == 1)
+        multi_chunk_parts += sum(1 for u in units if u["chunk_index"] == 1)
         rng.shuffle(units)
         restored = reconstruct(units, split=conv.split)
         restored.category = conv.category

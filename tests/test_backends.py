@@ -109,6 +109,7 @@ def flaky_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_retries_until_success(flaky_server):
@@ -162,3 +163,4 @@ def test_http_reward_scorer():
     finally:
         _RewardHandler.score = 0.8
         server.shutdown()
+        server.server_close()

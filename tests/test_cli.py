@@ -287,6 +287,24 @@ def test_pipeline_encodes_each_unit_once_into_enqueues_pending_records(
     assert pending == {p.name: p.read_bytes() for p in (tmp_path / "q1" / "pending").iterdir()}
 
 
+def test_pipeline_builds_unit_objects_only_for_claimed_tasks(tmp_path, staged_corpus,
+                                                             monkeypatch):
+    corpus_path, _, table_path, ini = staged_corpus
+    import tarjama.cli as cli
+    import tarjama.corpus as corpus
+    import tarjama.workqueue as workqueue
+    calls = []
+    for module in (cli, corpus, workqueue):
+        monkeypatch.setattr(module, "unit_from_dict",
+                            lambda obj, real=module.unit_from_dict: calls.append(1) or real(obj))
+    out = tmp_path / "out"
+    assert run(_pipeline_args(corpus_path, table_path, ini, out), tmp_path)[0] == 0
+    # One per translatable unit, when its task is claimed; pass 2 rebuilds
+    # the conversations from the unit records themselves.
+    units = [json.loads(line) for line in (out / "units.jsonl").read_text().splitlines()]
+    assert len(calls) == sum(u["role"] != "system" for u in units)
+
+
 def test_pipeline_fails_a_task_whose_translation_holds_a_lone_surrogate(tmp_path, capsys):
     conv = make_conversation("c1", contents=[("user", "hello there"), ("assistant", "ok")])
     corpus_path = tmp_path / "c.jsonl"
@@ -354,6 +372,46 @@ def test_reconstruct_rejects_done_record_without_translation(tmp_path, capsys):
                  "--out", str(tmp_path / "rebuilt.jsonl")], tmp_path)
     assert rc == 1
     assert record_path.name in capsys.readouterr().err
+
+
+def _one_done_record(tmp_path):
+    """A queue whose one done/ record translates a two-message corpus."""
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text(corpus_jsonl([make_conversation("c1")]), encoding="utf-8")
+    units = tmp_path / "units.jsonl"
+    queue = tmp_path / "queue"
+    assert run(["decompose", "--input", str(corpus_path),
+                "--units-out", str(units)], tmp_path)[0] == 0
+    assert run(["enqueue", "--units", str(units), "--queue", str(queue),
+                "--translator-id", "mock"], tmp_path)[0] == 0
+    assert run(["work", "--queue", str(queue), "--worker-id", "w0",
+                "--backend", "mock-identity"], tmp_path)[0] == 0
+    (record_path,) = (queue / "done").glob("*.json")
+    return queue, record_path
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("chunk_index", "0", "unit row field 'chunk_index' must be int, not '0'"),
+    ("message_index", True, "unit row field 'message_index' must be int, not True"),
+    ("translated_text", 5, "unit row field 'translated_text' must be str, not 5"),
+    ("chunk_count", 0, "chunk_index must be in [0, chunk_count), not 0 of 0"),
+    (None, 5, "not a done record of unit objects"),
+])
+def test_reconstruct_names_the_done_record_of_a_bad_unit(tmp_path, capsys, field, value,
+                                                         message):
+    queue, record_path = _one_done_record(tmp_path)
+    record = json.loads(record_path.read_text(encoding="utf-8"))
+    if field is None:
+        record["units"][-1] = value
+    else:
+        record["units"][-1][field] = value
+    record_path.write_text(json.dumps(record), encoding="utf-8")
+
+    rc, manifest = run(["reconstruct", "--from-queue", str(queue),
+                        "--out", str(tmp_path / "rebuilt.jsonl")], tmp_path)
+    assert rc == 1
+    assert f"error: {record_path}: {message}" in capsys.readouterr().err
+    assert json.loads(manifest.read_text().splitlines()[-1])["exit_code"] == 1
 
 
 def test_reconstruct_from_translated_units_matches_pipeline(tmp_path, staged_corpus):
@@ -485,6 +543,7 @@ def test_rank_candidates_matches_score_then_rank_cli(tmp_path, caplog):
                         endpoint], tmp_path)[0] == 0
     finally:
         server.shutdown()
+        server.server_close()
     assert run(["rank", "--scored", str(scored), "--winners-out",
                 str(tmp_path / "winners.jsonl"), "--ranking-out", str(ranking)],
                tmp_path)[0] == 0
@@ -606,16 +665,26 @@ UNIT_ROW = {"conversation_id": "c", "message_index": 0, "part_type": "visible",
     ("enqueue", "--units", json.dumps({"conversation_id": "a"}),
      "unit row has no 'message_index' field"),
     ("enqueue", "--units", "[1, 2]", "not a JSON object"),
+    ("enqueue", "--units", json.dumps(dict(UNIT_ROW, chunk_count="1")),
+     "unit row field 'chunk_count' must be int, not '1'"),
     ("reconstruct", "--translated-units", "{", "Expecting property name"),
     ("reconstruct", "--translated-units",
      json.dumps({k: v for k, v in UNIT_ROW.items() if k != "source_text"}),
      "unit row has no 'source_text' field"),
+    ("reconstruct", "--translated-units", json.dumps(dict(UNIT_ROW, translated_text=None)),
+     "unit row field 'translated_text' must be str, not None"),
+    # Unchecked, this last part of the message would be dropped: it has all
+    # of its zero chunks, and no part after it shows it missing.
+    ("reconstruct", "--translated-units", json.dumps(dict(UNIT_ROW, part_index=1,
+                                                          chunk_count=0)),
+     "chunk_index must be in [0, chunk_count), not 0 of 0"),
     ("score", "--candidates", "not json", "Expecting value"),
     ("rank", "--scored", "not json", "Expecting value"),
     ("stats", "--scored", "7", "not a JSON object"),
     ("filter", "--scored", "{\"lr\": }", "Expecting value"),
-], ids=["enqueue-not-json", "enqueue-no-field", "enqueue-not-object", "reconstruct-not-json",
-        "reconstruct-no-field", "score-not-json", "rank-not-json", "stats-not-object",
+], ids=["enqueue-not-json", "enqueue-no-field", "enqueue-not-object", "enqueue-wrong-type",
+        "reconstruct-not-json", "reconstruct-no-field", "reconstruct-wrong-type",
+        "reconstruct-chunk-count-0", "score-not-json", "rank-not-json", "stats-not-object",
         "filter-not-json"])
 def test_bad_input_row_exits_1_naming_its_file_and_line(tmp_path, capsys, subcommand,
                                                         flag, bad_line, message):
@@ -812,6 +881,7 @@ def test_score_with_reward_endpoint(tmp_path):
         assert row["rm"] == pytest.approx(0.8)
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_config_per_split_filter_overrides(tmp_path):

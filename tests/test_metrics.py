@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 import unicodedata
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tarjama import metrics, uniscript
 from tarjama.corpus import Candidate
-from tarjama.metrics import (_STRIP_PATTERNS, CLASS_ARABIC, CLASS_ASCII_DIGIT,
+from tarjama.metrics import (CLASS_ARABIC, CLASS_ASCII_DIGIT,
                              CLASS_IGNORE, CLASS_OTHER_LETTER, LrInputs, ScrParams,
                              ScriptTally, arabic_script_ratio, classify_char,
                              contains_cjk, language_ratio, lr_score,
@@ -131,11 +132,39 @@ def test_strip_idempotent(text):
     assert strip_whitelisted(once) == once
 
 
+# strip_whitelisted as it was before URL and email spans were found from
+# their literals, the oracle of the function that replaced it: each pattern
+# runs on a text that holds one of its literals and tries every position.
+REFERENCE_STRIP_PATTERNS = (
+    (("```",), re.compile(r"```.*?(?:```|\Z)", re.DOTALL)),
+    (("`",), re.compile(r"`[^`]*`")),
+    (("$$",), re.compile(r"\$\$.{0,200}?\$\$", re.DOTALL)),
+    (("$",), re.compile(r"\$.{0,200}?\$", re.DOTALL)),
+    (("\\(",), re.compile(r"\\\(.*?(?:\\\)|\Z)", re.DOTALL)),
+    (("\\[",), re.compile(r"\\\[.*?(?:\\\]|\Z)", re.DOTALL)),
+    (("://", "www."), re.compile(r"(?:[A-Za-z][A-Za-z0-9+.-]*://|www\.)\S+")),
+    (("@",), re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}")),
+)
+
+
+def reference_strip(text):
+    while True:
+        stripped = text
+        for literals, pattern in REFERENCE_STRIP_PATTERNS:
+            for literal in literals:
+                if literal in stripped:
+                    stripped = pattern.sub("", stripped)
+                    break
+        if stripped == text:
+            return stripped
+        text = stripped
+
+
 def unguarded_strip(text):
     """Every pattern on every round, whether or not its literal occurs."""
     while True:
         stripped = text
-        for _, pattern in _STRIP_PATTERNS:
+        for _, pattern in REFERENCE_STRIP_PATTERNS:
             stripped = pattern.sub("", stripped)
         if stripped == text:
             return stripped
@@ -154,6 +183,29 @@ STRIP_PIECES = ["`", "```", "$", "$$", "\\(", "\\)", "\\[", "\\]", "://",
 @settings(max_examples=500)
 def test_strip_matches_unguarded_passes(text):
     assert strip_whitelisted(text) == unguarded_strip(text)
+
+
+# Fragments dense in the characters of URL schemes and email addresses.
+URL_EMAIL_PIECES = ["://", "www.", "w", "@", ".", "a", "Z", "1", "+", "-", "_", "%",
+                    "/", ":", "x.co", "ab", " ", "\n", "\x1c", "نص", "`", "$"]
+
+
+@given(st.lists(st.sampled_from(URL_EMAIL_PIECES), max_size=80).map("".join))
+@example("1www.x://")
+@example("a@b.cc-x@d.ee")
+@example("a@b.cc.dd@e.ff www. www.a 9+x://y")
+@settings(max_examples=1000)
+def test_strip_matches_reference(text):
+    assert strip_whitelisted(text) == reference_strip(text)
+
+
+def test_strip_is_linear_in_a_long_run_next_to_a_url_or_email():
+    run = "a" * 200_000
+    text = f"{run} https://example.org/x {run} me@example.org"
+    start = time.perf_counter()
+    stripped = strip_whitelisted(text)
+    assert time.perf_counter() - start < 1.0
+    assert stripped == f"{run}  {run} "
 
 
 # -- script classification ---------------------------------------------------

@@ -13,8 +13,7 @@ from test_chunking import DENSE_PIECES, small_policies
 from tarjama.backends import BackendError, BudgetExceededError, TranslatorBackend
 from tarjama.chunking import plan_chunks
 from tarjama.cli import main
-from tarjama.corpus import (TranslationUnit, identity_translate, unit_to_dict,
-                            write_units)
+from tarjama.corpus import TranslationUnit, unit_to_dict, write_units
 from tarjama.tokenizers import TokenizerSpec, count_tokens
 from tarjama.workqueue import (ResultIncompleteError, _atomic_write_json,
                                _exclusive_publish_json, _task_to_dict, acquire,
@@ -179,7 +178,7 @@ def test_task_id_hashes_translator_id_and_units_json(tmp_path):
 def test_done_record_adds_translation_fields_to_each_unit(tmp_path):
     clock = FakeClock()
     units = make_units(4, texts=ODD_TEXTS)
-    units.append(identity_translate(make_units(1, conv="d")[0], "earlier"))
+    units += make_units(1, conv="d")
     (task,) = enqueue(tmp_path, units, "seed", batch_size=5)
     acquire(tmp_path, "w1", ttl=60, now=clock)
     clock.advance(61)

@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 
 from tarjama.corpus import Candidate
 from tarjama.ranking import (FitError, MetricTable, PreferenceRecord,
-                             average_rank, bt_fit, bt_prob, column_ranks,
+                             average_rank, bt_fit, column_ranks,
                              combine_scores, rank_candidates)
 
-from conftest import make_conversation
+from conftest import bt_prob, make_conversation
 
 # Golden intrinsic-metric leaderboard: 11 translator systems with their
 # LR/SCR means and the expected average ranks.

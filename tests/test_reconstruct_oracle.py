@@ -14,51 +14,52 @@ import pytest
 
 from tarjama.chunking import ChunkPolicy, chunker
 from tarjama.corpus import (Conversation, CorpusError, IncompleteUnitSetError,
-                            Message, Part, TranslatedUnit, UnitConsistencyError,
-                            decompose, identity_translate, join_parts,
-                            reconstruct, unit_from_dict, unit_to_dict)
+                            Message, Part, UnitConsistencyError, decompose,
+                            join_parts, reconstruct)
 from tarjama.tokenizers import TokenizerSpec
 
-from conftest import ARABIC_WORDS, LATIN_WORDS, make_conversation, random_text
+from conftest import (ARABIC_WORDS, LATIN_WORDS, identity_translate, make_conversation,
+                      random_text)
 
 
-def reconstruct_reference(units: Sequence[TranslatedUnit], split: str = "",
+def reconstruct_reference(units: Sequence[dict], split: str = "",
                           category: Optional[str] = None) -> Conversation:
     if not units:
         raise IncompleteUnitSetError([("<no units>",)])
-    conv_ids = {u.conversation_id for u in units}
+    conv_ids = {u["conversation_id"] for u in units}
     if len(conv_ids) > 1:
         raise UnitConsistencyError(f"units span multiple conversations: {sorted(conv_ids)}")
-    conv_id = units[0].conversation_id
+    conv_id = units[0]["conversation_id"]
 
-    by_part: dict[tuple[int, int], dict[int, TranslatedUnit]] = {}
+    by_part: dict[tuple[int, int], dict[int, dict]] = {}
     for unit in units:
-        chunks = by_part.setdefault((unit.message_index, unit.part_index), {})
-        if unit.chunk_index in chunks:
-            raise UnitConsistencyError(
-                f"duplicate chunk {unit.key} in conversation {conv_id!r}")
-        chunks[unit.chunk_index] = unit
+        chunks = by_part.setdefault((unit["message_index"], unit["part_index"]), {})
+        if unit["chunk_index"] in chunks:
+            key = tuple(unit[name] for name in ("conversation_id", "message_index",
+                                                "part_index", "chunk_index"))
+            raise UnitConsistencyError(f"duplicate chunk {key} in conversation {conv_id!r}")
+        chunks[unit["chunk_index"]] = unit
 
     missing: list[tuple] = []
     parts: dict[tuple[int, int], tuple[str, str, str]] = {}
     for (msg_idx, part_idx), chunks in sorted(by_part.items()):
         some = next(iter(chunks.values()))
-        counts = {u.chunk_count for u in chunks.values()}
+        counts = {u["chunk_count"] for u in chunks.values()}
         if len(counts) > 1:
             raise UnitConsistencyError(
                 f"conflicting chunk_count for part ({msg_idx}, {part_idx}): {sorted(counts)}")
-        if {u.part_type for u in chunks.values()} != {some.part_type}:
+        if {u["part_type"] for u in chunks.values()} != {some["part_type"]}:
             raise UnitConsistencyError(
                 f"conflicting part_type for part ({msg_idx}, {part_idx})")
-        if {u.role for u in chunks.values()} != {some.role}:
+        if {u["role"] for u in chunks.values()} != {some["role"]}:
             raise UnitConsistencyError(f"conflicting role in message {msg_idx}")
         count = counts.pop()
         absent = [i for i in range(count) if i not in chunks]
         if absent:
             missing.extend((msg_idx, part_idx, i) for i in absent)
             continue
-        text = "".join(chunks[i].translated_text for i in range(count))
-        parts[(msg_idx, part_idx)] = (some.part_type, text, some.role)
+        text = "".join(chunks[i]["translated_text"] for i in range(count))
+        parts[(msg_idx, part_idx)] = (some["part_type"], text, some["role"])
     if missing:
         raise IncompleteUnitSetError(missing)
 
@@ -87,7 +88,7 @@ def reconstruct_reference(units: Sequence[TranslatedUnit], split: str = "",
 _POLICY = ChunkPolicy(target_tokens=6, window_tokens=2, hard_cap_tokens=7)
 
 
-def _random_units(rng: random.Random) -> list[TranslatedUnit]:
+def _random_units(rng: random.Random) -> list[dict]:
     contents = []
     for _ in range(rng.randint(1, 5)):
         role = rng.choice(["system", "user", "assistant", "tool"])
@@ -102,12 +103,12 @@ def _random_units(rng: random.Random) -> list[TranslatedUnit]:
             for u in decompose(conv, chunker(TokenizerSpec.builtin(), _POLICY))]
 
 
-def _with(unit: TranslatedUnit, **changes) -> TranslatedUnit:
-    """A copy of *unit* with some fields changed, built by the constructor."""
-    return unit_from_dict(dict(unit_to_dict(unit), **changes))
+def _with(unit: dict, **changes) -> dict:
+    """A copy of the record *unit* with some fields changed."""
+    return dict(unit, **changes)
 
 
-def _mutate(rng: random.Random, units: list[TranslatedUnit], kind: str) -> None:
+def _mutate(rng: random.Random, units: list[dict], kind: str) -> None:
     pick = rng.randrange(len(units))
     unit = units[pick]
     if kind == "missing":
@@ -117,11 +118,11 @@ def _mutate(rng: random.Random, units: list[TranslatedUnit], kind: str) -> None:
         for _ in range(rng.randint(1, 2)):
             twin = units[rng.randrange(len(units))]
             units.insert(rng.randrange(len(units) + 1),
-                         _with(twin, translated_text=rng.choice([twin.translated_text, "x"])))
+                         _with(twin, translated_text=rng.choice([twin["translated_text"], "x"])))
     elif kind == "chunk_count":
-        units[pick] = _with(unit, chunk_count=unit.chunk_count + rng.randint(1, 2))
+        units[pick] = _with(unit, chunk_count=unit["chunk_count"] + rng.randint(1, 2))
     elif kind == "part_type":
-        units[pick] = _with(unit, part_type="think" if unit.part_type == "visible"
+        units[pick] = _with(unit, part_type="think" if unit["part_type"] == "visible"
                             else "visible")
     elif kind == "role":
         units[pick] = _with(unit, role=rng.choice(["system", "user", "assistant", "tool"]))
