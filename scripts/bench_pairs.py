@@ -16,7 +16,10 @@ over pairs of change / base, how many pairs the change won, and whether
 that is a gain: the change won at least nine tenths of the pairs and its
 median beats the base's by more than the distance between the base's
 quartiles.  The metrics and which way is better come from the change's
-``BENCHMARK.json``.
+``BENCHMARK.json``.  When every run also printed the CPU seconds of its
+tarjama processes per iteration, their median per run is compared the
+same way as ``cpu_s``, lower being better: the host's CPU speed moves
+between identical runs, which ``wall_s`` alone cannot tell from a change.
 """
 
 from __future__ import annotations
@@ -29,12 +32,23 @@ import sys
 from pathlib import Path
 
 
+CPU_LINE = "cpu seconds of the tarjama processes per iteration:"
+CPU_METRIC = {"name": "cpu_s", "better": "lower"}
+
+
 def parse_run(stdout: str) -> dict:
-    """The result object that perfbench prints as its last stdout line."""
+    """The result object that perfbench prints as its last stdout line, with
+    the median of its ``CPU_LINE`` values added to its metrics as ``cpu_s``
+    when it printed that line."""
     lines = stdout.strip().splitlines()
     if not lines:
         raise ValueError("perfbench printed nothing")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    for line in lines:
+        if line.startswith(CPU_LINE):
+            cpu = [float(v) for v in line[len(CPU_LINE):].split()]
+            result["metrics"]["cpu_s"] = {"value": statistics.median(cpu), "unit": "s"}
+    return result
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -48,7 +62,9 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
     """One summary per end-to-end metric of ``(base, change)`` result pairs.
 
     *metrics* are ``BENCHMARK.json``'s ``end_to_end`` entries (``name``,
-    ``better``)."""
+    ``better``); ``cpu_s`` follows them when every run has it."""
+    if all("cpu_s" in r["metrics"] for pair in pairs for r in pair):
+        metrics = [*metrics, CPU_METRIC]
     out = []
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -115,9 +131,8 @@ def main() -> int:
             result = {}
             for side, checkout in (sides if n % 2 == 0 else sides[::-1]):
                 result[side] = run_once(checkout, workload, args.seed, args.seconds)
-                values = " ".join(
-                    f"{m['name']}={result[side]['metrics'][m['name']]['value']:.6g}"
-                    for m in metrics)
+                values = " ".join(f"{name}={m['value']:.6g}"
+                                  for name, m in result[side]["metrics"].items())
                 print(f"{workload} pair {n} {side:<6} {values} "
                       f"correct={result[side]['correct']}", flush=True)
             pairs.append((result["base"], result["change"]))

@@ -28,7 +28,11 @@ class BackendError(Exception):
     pass
 
 
-class BudgetExceededError(BackendError):
+class PermanentBackendError(BackendError):
+    """An error that no retry can mend; its task fails at once."""
+
+
+class BudgetExceededError(PermanentBackendError):
     """Prompt plus source exceeds the backend's input window; this means
     the chunker produced an oversized chunk."""
 
@@ -63,8 +67,9 @@ class TranslatorBackend:
         self.timeout = timeout
 
 
-def _post_chat(backend: TranslatorBackend, prompt: str,
-               sleep=time.sleep) -> str:
+def _post_chat(backend: TranslatorBackend, prompt: str) -> str:
+    """Retry connection errors, timeouts, 5xx, 408 and 429 with back-off; any
+    other reply without ``choices[0].message.content`` is permanent."""
     import requests  # loaded only when an HTTP backend is used
 
     headers = {"Content-Type": "application/json"}
@@ -77,31 +82,40 @@ def _post_chat(backend: TranslatorBackend, prompt: str,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": backend.temperature,
     }
-    last_error: Optional[Exception] = None
+    last_error: object = None
     for attempt in range(backend.max_retries + 1):
         if attempt:
             delay = backend.backoff_base * (2 ** (attempt - 1))
             logger.info("retrying %s (attempt %d) after %.2fs",
                         backend.id, attempt + 1, delay)
-            sleep(delay)
+            time.sleep(delay)
         try:
             resp = requests.post(backend.endpoint, json=payload,
                                  headers=headers, timeout=backend.timeout)
-            resp.raise_for_status()
-            body = resp.json()
-            return body["choices"][0]["message"]["content"]
-        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+            if resp.status_code < 500 and resp.status_code not in (408, 429):
+                break
+            last_error = f"HTTP {resp.status_code}"
+        except requests.RequestException as exc:
             last_error = exc
-    raise BackendError(
-        f"backend {backend.id!r} failed after {backend.max_retries + 1} attempts: "
-        f"{last_error}")
+    else:
+        raise BackendError(
+            f"backend {backend.id!r} failed after {backend.max_retries + 1} attempts: "
+            f"{last_error}")
+    try:
+        content = resp.json()["choices"][0]["message"]["content"]
+    except (ValueError, LookupError, TypeError):
+        content = None
+    if resp.ok and isinstance(content, str):
+        return content
+    raise PermanentBackendError(
+        f"backend {backend.id!r} answered HTTP {resp.status_code} without "
+        f"choices[0].message.content: {resp.text[:200]}")
 
 
 def translate_chunk(backend: TranslatorBackend, unit: TranslationUnit,
                     prompt_template: str = "{source}",
                     target_language: str = "Arabic",
-                    tokenizer: Optional[TokenizerSpec] = None,
-                    sleep=time.sleep) -> str:
+                    tokenizer: Optional[TokenizerSpec] = None) -> str:
     """Translate one unit's text through the backend.
 
     When a tokenizer is supplied the full prompt is checked against the
@@ -121,7 +135,7 @@ def translate_chunk(backend: TranslatorBackend, unit: TranslationUnit,
     if backend.kind == "mock-table":
         text = backend.table.get(unit.source_text, unit.source_text)
     else:
-        text = _post_chat(backend, prompt, sleep=sleep)
+        text = _post_chat(backend, prompt)
     if _has_surrogates(text):
         raise BackendError(f"backend {backend.id!r} returned unpaired surrogates "
                            f"for unit {unit.key}")

@@ -22,10 +22,10 @@ from .backends import BackendError, HttpRewardScorer, TranslatorBackend
 from .chunking import ChunkPolicy, chunker
 from .config import (BackendConfig, ConfigurationError, PipelineConfig, checked_alpha,
                      checked_tau, checked_weights, load_config, _parse_ratios)
-from .corpus import (Candidate, CorpusError, check_unit_record, conversation_from_dict,
-                     conversation_to_dict, decompose, json_text, jsonl_line,
-                     load_corpus, rebuild_conversations, unit_from_dict, unit_to_dict,
-                     write_corpus, write_jsonl, write_units)
+from .corpus import (Candidate, CorpusError, check_translated_record, check_unit_record,
+                     conversation_from_dict, conversation_to_dict, decompose, json_text,
+                     jsonl_line, load_corpus, rebuild_conversations, unit_from_dict,
+                     unit_to_dict, write_corpus, write_jsonl, write_units)
 from .metrics import QualityScore
 from .ranking import (FitError, PreferenceRecord, bt_fit, row_field, row_quality,
                       score_row, winner_and_ranking)
@@ -155,8 +155,7 @@ def cmd_work(args, cfg: PipelineConfig) -> int:
 
 def cmd_reconstruct(args, cfg: PipelineConfig) -> int:
     if args.translated_units:
-        objs = (row for row in _read_rows(args.translated_units, check_unit_record)
-                if "translated_text" in row)
+        objs = _read_rows(args.translated_units, check_translated_record)
     else:
         objs = done_unit_dicts(args.from_queue)
     grouped: dict[str, list[dict]] = {}  # in first-seen order
@@ -307,7 +306,7 @@ def cmd_sample(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_queue_status(args, cfg: PipelineConfig) -> int:
-    print(json.dumps(queue_status(args.queue)))
+    print(json.dumps(queue_status(args.queue, ttl=cfg.ttl_seconds)))
     return 0
 
 
@@ -451,7 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("work", help="run one worker until the queue drains")
     p.add_argument("--queue", required=True)
     p.add_argument("--worker-id", required=True)
-    p.add_argument("--ttl", dest="ttl_seconds", type=float)
+    p.add_argument("--ttl", dest="ttl_seconds", type=float,
+                   help="a lease (an empty lock file) lasts ttl seconds after its "
+                        "mtime, the claim time, by each worker's own ttl")
     p.add_argument("--backend", choices=("mock-identity", "mock-table", "http-endpoint"))
     p.add_argument("--endpoint")
     p.add_argument("--model")

@@ -497,6 +497,13 @@ def check_unit_record(obj: Mapping) -> None:
     check_chunk_range(obj["chunk_index"], obj["chunk_count"])
 
 
+def check_translated_record(obj: Mapping) -> None:
+    """``check_unit_record`` for a row that must hold a ``translated_text``."""
+    if "translated_text" not in obj:
+        raise ValueError("unit row has no 'translated_text' field")
+    check_unit_record(obj)
+
+
 def unit_to_dict(unit: TranslationUnit) -> dict:
     return {name: getattr(unit, name) for name in UNIT_FIELDS}
 

@@ -5,9 +5,9 @@ Layout: ``pending/<task_id>.json``, ``leases/<task_id>.lock``,
 uses atomic filesystem operations, so the queue is safe across worker
 processes on a shared filesystem:
 
-* a lease is an exclusively created lock file; expired locks are claimed
-  by renaming them away before re-locking, so takeover is exactly-once.
-  A lock whose JSON cannot be read expires ``ttl`` after its mtime;
+* a lease is an exclusively created empty lock file whose mtime is its
+  claim time; after each worker's own ``ttl`` it is taken over by renaming
+  it away before re-locking, so takeover is exactly-once;
 * completions publish via ``os.link`` onto the done path, which fails if
   a record already exists, making completion exactly-once per task;
 * task files are written to a temp name and renamed into place.
@@ -35,11 +35,10 @@ import os
 import time
 from contextlib import closing
 from pathlib import Path
-from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Optional,
-                    Sequence, Union)
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .backends import BackendError, BudgetExceededError, TranslatorBackend, translate_chunk
-from .corpus import (CorpusError, TranslationUnit, check_unit_record, json_text,
+from .backends import BackendError, PermanentBackendError, TranslatorBackend, translate_chunk
+from .corpus import (CorpusError, TranslationUnit, check_translated_record, json_text,
                      unit_from_dict, unit_to_dict)
 
 logger = logging.getLogger(__name__)
@@ -84,16 +83,6 @@ class Task:
     @property
     def unit_refs(self) -> list[UnitKey]:
         return [u.key for u in self.units]
-
-
-class Lease(NamedTuple):
-    task_id: str
-    worker_id: str
-    acquired_at: float
-    ttl: float
-
-    def expired(self, now: float) -> bool:
-        return now > self.acquired_at + self.ttl
 
 
 def _dirs(queue_dir: Union[str, Path]) -> dict[str, Path]:
@@ -240,23 +229,25 @@ def enqueue(queue_dir: Union[str, Path], units: Sequence[TranslationUnit],
     return tasks
 
 
-def _read_lease(path: Path) -> Optional[Lease]:
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    return Lease(task_id=obj["task_id"], worker_id=obj["worker_id"],
-                 acquired_at=obj["acquired_at"], ttl=obj["ttl"])
-
-
-def _try_lock(lock_path: Path, lease: Lease) -> bool:
+def _try_lock(lock_path: Path, claimed_at: float) -> bool:
+    """Create the empty lock *lock_path* with mtime *claimed_at*, unless it exists."""
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         return False
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(json_text(lease._asdict()))
+    try:
+        os.utime(fd, (claimed_at, claimed_at))
+    finally:
+        os.close(fd)
     return True
+
+
+def _expired(lock_path: Path, ttl: float, now: Callable[[], float]) -> bool:
+    """Whether a lease has ended: ``ttl`` after its lock's mtime, or with its lock."""
+    try:
+        return now() > lock_path.stat().st_mtime + ttl
+    except FileNotFoundError:
+        return True
 
 
 def _pending_ids(pending: Path) -> Iterator[str]:
@@ -272,7 +263,7 @@ def _pending_ids(pending: Path) -> Iterator[str]:
                 yield entry.name[:-5]
 
 
-def _claim(dirs: dict[str, Path], task_id: str, worker_id: str, ttl: float,
+def _claim(dirs: dict[str, Path], task_id: str, ttl: float,
            now: Callable[[], float]) -> Optional[Task]:
     """Lease one task by id, or None when it is done, held or gone.
 
@@ -287,16 +278,8 @@ def _claim(dirs: dict[str, Path], task_id: str, worker_id: str, ttl: float,
         lock_path.unlink(missing_ok=True)
         return None
     took_over = False
-    lease = Lease(task_id=task_id, worker_id=worker_id,
-                  acquired_at=now(), ttl=ttl)
-    if not _try_lock(lock_path, lease):
-        existing = _read_lease(lock_path)
-        try:  # a torn lease (its writer died before the JSON) ages from mtime
-            expires = (existing.acquired_at + existing.ttl if existing
-                       else lock_path.stat().st_mtime + ttl)
-        except FileNotFoundError:
-            return None
-        if now() <= expires:
+    if not _try_lock(lock_path, now()):
+        if not _expired(lock_path, ttl, now):
             return None
         # Claim the stale lock by renaming it away; exactly one
         # claimant wins the rename, then locking proceeds normally.
@@ -306,9 +289,7 @@ def _claim(dirs: dict[str, Path], task_id: str, worker_id: str, ttl: float,
         except FileNotFoundError:
             return None
         stale.unlink(missing_ok=True)
-        lease = Lease(task_id=task_id, worker_id=worker_id,
-                      acquired_at=now(), ttl=ttl)
-        if not _try_lock(lock_path, lease):
+        if not _try_lock(lock_path, now()):
             return None
         took_over = True
     try:
@@ -335,7 +316,7 @@ def acquire(queue_dir: Union[str, Path], worker_id: str,
     dirs = _dirs(queue_dir)
     with closing(_pending_ids(dirs["pending"])) as task_ids:
         for task_id in task_ids:
-            task = _claim(dirs, task_id, worker_id, ttl, now)
+            task = _claim(dirs, task_id, ttl, now)
             if task is not None:
                 return task
     return None
@@ -406,9 +387,7 @@ def done_unit_dicts(queue_dir: Union[str, Path],
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
             for obj in record["units"]:
-                if "translated_text" not in obj:
-                    raise ValueError("done record holds a unit without 'translated_text'")
-                check_unit_record(obj)
+                check_translated_record(obj)
         except FileNotFoundError:
             message = f"task {path.stem} has no done/ record"
             failed = dirs["failed"] / path.name
@@ -423,16 +402,14 @@ def done_unit_dicts(queue_dir: Union[str, Path],
         yield from record["units"]
 
 
-def queue_status(queue_dir: Union[str, Path],
+def queue_status(queue_dir: Union[str, Path], ttl: float = DEFAULT_TTL_SECONDS,
                  now: Callable[[], float] = time.time) -> dict[str, int]:
+    """Task counts per state; a lock counts as leased until *ttl* after its mtime."""
     dirs = _dirs(queue_dir)
-    leases = [_read_lease(p) for p in dirs["leases"].glob("*.lock")] \
-        if dirs["leases"].is_dir() else []
-    active = sum(1 for lease in leases if lease is not None and not lease.expired(now()))
-    count = (lambda p: sum(1 for _ in p.glob("*.json")) if p.is_dir() else 0)
+    count = (lambda p: sum(1 for _ in p.glob("*.json")))  # none if p is missing
     return {
         "pending": count(dirs["pending"]),
-        "leased": active,
+        "leased": sum(not _expired(lock, ttl, now) for lock in dirs["leases"].glob("*.lock")),
         "done": count(dirs["done"]),
         "failed": count(dirs["failed"]),
     }
@@ -457,13 +434,13 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
     on each further idle pass up to ``poll_interval``; a claim resets it,
     so a peer that finishes within milliseconds costs milliseconds.
 
-    Crash-safe: leases left by killed workers expire and their tasks are
-    retried; a torn lease, whose JSON was never written, expires ``ttl``
-    after its lock file's mtime.  A ``BackendError`` (other than
-    ``BudgetExceededError``) counts as an attempt too: the task goes back
-    to pending/ with its attempt counter raised.  Tasks whose attempt
-    counter reaches ``max_attempts`` move to failed/ instead of being
-    retried forever; any other exception fails the task at once."""
+    Crash-safe: leases left by killed workers expire ``ttl`` after their
+    lock files' mtime and their tasks are retried.  A ``BackendError``
+    (other than a ``PermanentBackendError``) counts as an attempt too: the
+    task goes back to pending/ with its attempt counter raised.  Tasks
+    whose attempt counter reaches ``max_attempts`` move to failed/ instead
+    of being retried forever; any other exception fails the task at
+    once."""
     processed = 0
     dirs = _dirs(queue_dir)
     wait = 0.0  # sleep before the next pass; 0 after a pass that claimed
@@ -475,7 +452,7 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
             sleep(wait)
         wait = min(2 * wait, poll_interval) or poll_interval / 64
         for task_id in task_ids:
-            task = _claim(dirs, task_id, worker_id, ttl, now)
+            task = _claim(dirs, task_id, ttl, now)
             if task is None:
                 continue
             wait = 0.0
@@ -493,7 +470,7 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
                 }
             except Exception as exc:
                 if (isinstance(exc, BackendError)
-                        and not isinstance(exc, BudgetExceededError)):
+                        and not isinstance(exc, PermanentBackendError)):
                     task.attempt += 1
                     if task.attempt < max_attempts:
                         release_task(queue_dir, task)

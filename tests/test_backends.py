@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -9,10 +10,11 @@ import pytest
 
 import tarjama
 from tarjama.backends import (BackendError, BudgetExceededError,
-                              HttpRewardScorer, TranslatorBackend,
-                              translate_chunk)
+                              HttpRewardScorer, PermanentBackendError,
+                              TranslatorBackend, translate_chunk)
 from tarjama.corpus import TranslationUnit
 from tarjama.tokenizers import TokenizerSpec
+from tarjama.workqueue import enqueue, worker_loop
 
 from conftest import make_conversation
 
@@ -75,7 +77,10 @@ def test_backend_validation():
 
 
 class _FlakyHandler(BaseHTTPRequestHandler):
+    """Answers the first *failures* POSTs with *status*, then 200 *reply*."""
     failures = 3
+    status = 500
+    reply = {"choices": [{"message": {"content": "مرحبا"}}]}
     seen = 0
     payloads = []
 
@@ -85,11 +90,10 @@ class _FlakyHandler(BaseHTTPRequestHandler):
         body = self.rfile.read(int(self.headers["Content-Length"]))
         cls.payloads.append(json.loads(body))
         if cls.seen <= cls.failures:
-            self.send_response(500)
+            self.send_response(cls.status)
             self.end_headers()
             return
-        reply = {"choices": [{"message": {"content": "مرحبا"}}]}
-        data = json.dumps(reply).encode("utf-8")
+        data = json.dumps(cls.reply).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -101,7 +105,9 @@ class _FlakyHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def flaky_server():
+def flaky_server(monkeypatch):
+    for name in ("failures", "status", "reply"):  # restored after the test
+        monkeypatch.setattr(_FlakyHandler, name, getattr(_FlakyHandler, name))
     _FlakyHandler.seen = 0
     _FlakyHandler.payloads = []
     server = HTTPServer(("127.0.0.1", 0), _FlakyHandler)
@@ -132,6 +138,38 @@ def test_http_gives_up_after_max_retries(flaky_server):
     with pytest.raises(BackendError, match="after 3 attempts"):
         translate_chunk(backend, unit("hello"))
     _FlakyHandler.failures = 3
+
+
+@pytest.mark.parametrize("status", [408, 429])
+def test_http_retries_timeouts_and_rate_limits(flaky_server, status):
+    _FlakyHandler.status = status
+    backend = TranslatorBackend(id="m", kind="http-endpoint", endpoint=flaky_server,
+                                backoff_base=0.001)
+    assert translate_chunk(backend, unit("hello")) == "مرحبا"
+    assert _FlakyHandler.seen == 4
+
+
+@pytest.mark.parametrize("failures, status, reply, reason", [
+    (99, 400, None, "answered HTTP 400"),
+    (0, 500, {"choices": []}, "answered HTTP 200 without choices[0].message.content"),
+], ids=["http-400", "no-choices"])
+def test_permanent_http_error_costs_one_post_and_fails_its_task(
+        tmp_path, flaky_server, failures, status, reply, reason):
+    _FlakyHandler.failures, _FlakyHandler.status = failures, status
+    if reply is not None:
+        _FlakyHandler.reply = reply
+    backend = TranslatorBackend(id="m", kind="http-endpoint", endpoint=flaky_server,
+                                backoff_base=0.001)
+    with pytest.raises(PermanentBackendError, match=re.escape(reason)):
+        translate_chunk(backend, unit("hello"))
+    assert _FlakyHandler.seen == 1
+    enqueue(tmp_path, [unit("hello")], "m", batch_size=1)
+    assert worker_loop(tmp_path, backend, "w1", ttl=60, max_attempts=3,
+                       poll_interval=0.01) == 0
+    assert _FlakyHandler.seen == 2  # one more POST for the task, not max_attempts
+    (failed,) = (tmp_path / "failed").iterdir()
+    record = json.loads(failed.read_text(encoding="utf-8"))
+    assert record["attempt"] == 0 and reason in record["reason"]
 
 
 class _RewardHandler(BaseHTTPRequestHandler):

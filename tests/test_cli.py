@@ -678,14 +678,19 @@ UNIT_ROW = {"conversation_id": "c", "message_index": 0, "part_type": "visible",
     ("reconstruct", "--translated-units", json.dumps(dict(UNIT_ROW, part_index=1,
                                                           chunk_count=0)),
      "chunk_index must be in [0, chunk_count), not 0 of 0"),
+    # An untranslated unit row, as a units.jsonl holds, rebuilds nothing.
+    ("reconstruct", "--translated-units",
+     json.dumps({k: v for k, v in UNIT_ROW.items()
+                 if k not in ("translated_text", "translator_id")}),
+     "unit row has no 'translated_text' field"),
     ("score", "--candidates", "not json", "Expecting value"),
     ("rank", "--scored", "not json", "Expecting value"),
     ("stats", "--scored", "7", "not a JSON object"),
     ("filter", "--scored", "{\"lr\": }", "Expecting value"),
 ], ids=["enqueue-not-json", "enqueue-no-field", "enqueue-not-object", "enqueue-wrong-type",
         "reconstruct-not-json", "reconstruct-no-field", "reconstruct-wrong-type",
-        "reconstruct-chunk-count-0", "score-not-json", "rank-not-json", "stats-not-object",
-        "filter-not-json"])
+        "reconstruct-chunk-count-0", "reconstruct-untranslated", "score-not-json",
+        "rank-not-json", "stats-not-object", "filter-not-json"])
 def test_bad_input_row_exits_1_naming_its_file_and_line(tmp_path, capsys, subcommand,
                                                         flag, bad_line, message):
     conv = make_conversation("c")

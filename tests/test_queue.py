@@ -100,6 +100,45 @@ def test_acquire_grants_once_then_blocks(tmp_path):
     assert queue_status(tmp_path, now=clock)["leased"] == 1
 
 
+def test_a_lease_is_an_empty_lock_aged_by_its_mtime(tmp_path):
+    clock = FakeClock()
+    (task,) = enqueue(tmp_path, make_units(1), "seed", batch_size=1)
+    acquire(tmp_path, "w1", ttl=60, now=clock)
+    lock = tmp_path / "leases" / f"{task.task_id}.lock"
+    assert lock.read_bytes() == b""
+    assert lock.stat().st_mtime == clock()  # the claimer's clock, not the host's
+    clock.advance(60)
+    assert queue_status(tmp_path, ttl=60, now=clock)["leased"] == 1
+    assert queue_status(tmp_path, ttl=30, now=clock)["leased"] == 0  # the reader's ttl
+    clock.advance(0.5)
+    assert queue_status(tmp_path, ttl=60, now=clock)["leased"] == 0
+
+
+def test_queue_status_cli_ages_leases_by_the_configured_ttl(tmp_path, capsys):
+    enqueue(tmp_path / "q", make_units(1), "seed", batch_size=1)
+    acquire(tmp_path / "q", "w1", now=lambda: time.time() - 100)
+    ini = tmp_path / "queue.ini"
+    ini.write_text("[queue]\nttl_seconds = 60\n", encoding="utf-8")
+    manifest = ["--manifest", str(tmp_path / "runs.jsonl")]
+    for config, leased in [([], 1), (["--config", str(ini)], 0)]:
+        assert main(["queue-status", "--queue", str(tmp_path / "q"), *config, *manifest]) == 0
+        assert json.loads(capsys.readouterr().out)["leased"] == leased
+
+
+def test_lock_holding_a_lease_json_is_taken_over_ttl_after_its_mtime(tmp_path):
+    # Locks of earlier versions hold the lease as JSON; its mtime is still
+    # the claim time, and its own ttl no longer counts.
+    (task,) = enqueue(tmp_path, make_units(1), "seed", batch_size=1)
+    lock = tmp_path / "leases" / f"{task.task_id}.lock"
+    lock.write_text(json.dumps({"task_id": task.task_id, "worker_id": "w1",
+                                "acquired_at": 1000.0, "ttl": 10_000.0}))
+    os.utime(lock, (1000.0, 1000.0))
+    assert acquire(tmp_path, "w2", ttl=60, now=lambda: 1060.0) is None
+    taken = acquire(tmp_path, "w2", ttl=60, now=lambda: 1060.5)
+    assert taken.task_id == task.task_id and taken.attempt == 1
+    assert lock.read_bytes() == b"" and lock.stat().st_mtime == 1060.5
+
+
 def test_expired_lease_reacquired_with_attempt_bump(tmp_path):
     clock = FakeClock()
     enqueue(tmp_path, make_units(1), "seed", batch_size=1)
@@ -116,16 +155,17 @@ def test_expired_lease_reacquired_with_attempt_bump(tmp_path):
 
 
 def test_torn_lease_expires_ttl_after_its_mtime(tmp_path):
-    # A worker killed between creating its lock file and writing the
-    # lease JSON leaves an empty lock behind.
+    # A worker killed between creating its lock file and setting its mtime
+    # leaves a lock that ages from its creation.
     (task,) = enqueue(tmp_path, make_units(1), "seed", batch_size=1)
     lock = tmp_path / "leases" / f"{task.task_id}.lock"
     lock.touch()
     assert acquire(tmp_path, "w2", ttl=60) is None  # still within ttl
-    taken = acquire(tmp_path, "w2", ttl=1.0, now=lambda: 1e12)
+    later = float(int(time.time()) + 120)
+    taken = acquire(tmp_path, "w2", ttl=1.0, now=lambda: later)
     assert taken is not None
     assert taken.task_id == task.task_id and taken.attempt == 1
-    assert json.loads(lock.read_text())["worker_id"] == "w2"
+    assert lock.stat().st_mtime == later
 
 
 def test_complete_writes_done_and_clears(tmp_path):
@@ -276,7 +316,7 @@ def test_worker_loop_sends_poison_to_failed(tmp_path):
         assert acquire(tmp_path, "w-crashy", ttl=1, now=clock) is not None
         clock.advance(5)
     backend = TranslatorBackend(id="seed", kind="mock-identity")
-    processed = worker_loop(tmp_path, backend, "w2", ttl=60, max_attempts=3,
+    processed = worker_loop(tmp_path, backend, "w2", ttl=1, max_attempts=3,
                             poll_interval=0.01, now=clock)
     assert processed == 0
     status = queue_status(tmp_path, now=clock)

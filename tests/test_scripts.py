@@ -44,11 +44,13 @@ def _bench_pairs():
     return module
 
 
-def _perfbench_stdout(wall: float, rss: float) -> str:
+def _perfbench_stdout(wall: float, rss: float, cpu: tuple = ()) -> str:
     result = {"correct": True, "attempted": 3, "failed": 0, "metrics": {
         "wall_s": {"value": wall, "unit": "s"},
         "peak_rss_mb": {"value": rss, "unit": "MB"}}}
-    return f"workload many-short seed 1: ...\nsha256 ...\n{json.dumps(result)}\n"
+    cpu_line = ("cpu seconds of the tarjama processes per iteration: "
+                + " ".join(f"{c:.3f}" for c in cpu) + "\n") if cpu else ""
+    return f"workload many-short seed 1: ...\n{cpu_line}sha256 ...\n{json.dumps(result)}\n"
 
 
 def test_bench_pairs_summary_of_canned_runs(tmp_path, monkeypatch, capsys):
@@ -68,6 +70,22 @@ def test_bench_pairs_summary_of_canned_runs(tmp_path, monkeypatch, capsys):
     pairs[4] = (pairs[4][0], bench.parse_run(_perfbench_stdout(1.7, 30.0)))
     assert bench.summarize(pairs, metrics)[0]["gain"]
     assert "wall_s" in bench.format_summary(bench.summarize(pairs, metrics))
+
+    # cpu_s: the median of each run's CPU seconds per iteration, once every
+    # run printed them.
+    cpus = [(1.0, 0.8), (1.1, 0.9), (1.2, 0.9), (1.0, 0.7), (1.1, 1.0)]
+    pairs = [(bench.parse_run(_perfbench_stdout(2.0, 30.0, (b, 9.0, 0.1))),
+              bench.parse_run(_perfbench_stdout(2.0, 30.0, (c, 9.0, 0.1))))
+             for b, c in cpus]
+    wall, rss, cpu = bench.summarize(pairs, metrics)
+    assert (cpu["name"], cpu["better"]) == ("cpu_s", "lower")
+    assert cpu["base"] == pytest.approx((1.0, 1.1, 1.1))
+    assert cpu["change"] == pytest.approx((0.8, 0.9, 0.9))
+    assert (cpu["wins"], cpu["pairs"], cpu["gain"]) == (5, 5, True)
+    assert cpu["ratio"] == pytest.approx(0.8 / 1.0)  # median of the five pair ratios
+    assert not wall["gain"] and "cpu_s" in bench.format_summary([cpu])
+    pairs[2] = (bench.parse_run(_perfbench_stdout(2.0, 30.0)), pairs[2][1])
+    assert [r["name"] for r in bench.summarize(pairs, metrics)] == ["wall_s", "peak_rss_mb"]
 
     # Several --workload flags: the pairs of each in turn, one block each.
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
