@@ -8,15 +8,11 @@ testable without any model: ``mock-identity`` echoes the source and
 
 from __future__ import annotations
 
-import logging
 import os
-import time
 from typing import Optional
 
 from .corpus import Conversation, TranslationUnit, _has_surrogates, conversation_to_dict
 from .tokenizers import TokenizerSpec, count_tokens
-
-logger = logging.getLogger(__name__)
 
 BACKEND_KINDS = ("http-endpoint", "mock-identity", "mock-table")
 
@@ -39,15 +35,15 @@ class BudgetExceededError(PermanentBackendError):
 
 class TranslatorBackend:
     __slots__ = ("id", "kind", "endpoint", "model", "temperature", "max_input_tokens",
-                 "api_key_env", "table", "max_retries", "backoff_base", "timeout")
+                 "api_key_env", "table", "timeout")
 
     def __init__(self, id: str, kind: str, endpoint: Optional[str] = None,
                  model: Optional[str] = None,
                  temperature: float = DEFAULT_TEMPERATURE,
                  max_input_tokens: int = DEFAULT_MAX_INPUT_TOKENS,
                  api_key_env: Optional[str] = None,
-                 table: Optional[dict[str, str]] = None, max_retries: int = 5,
-                 backoff_base: float = 0.25, timeout: float = 120.0) -> None:
+                 table: Optional[dict[str, str]] = None,
+                 timeout: float = 120.0) -> None:
         if kind not in BACKEND_KINDS:
             raise ValueError(f"unknown backend kind: {kind!r}")
         if kind == "http-endpoint" and not endpoint:
@@ -62,13 +58,12 @@ class TranslatorBackend:
         self.max_input_tokens = max_input_tokens
         self.api_key_env = api_key_env
         self.table = {} if table is None else table
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
         self.timeout = timeout
 
 
 def _post_chat(backend: TranslatorBackend, prompt: str) -> str:
-    """Retry connection errors, timeouts, 5xx, 408 and 429 with back-off; any
+    """Make one POST.  A connection error, a timeout, a 5xx, a 408 or a 429 is
+    a ``BackendError``, which ``worker_loop`` retries as a task attempt; any
     other reply without ``choices[0].message.content`` is permanent."""
     import requests  # loaded only when an HTTP backend is used
 
@@ -82,25 +77,13 @@ def _post_chat(backend: TranslatorBackend, prompt: str) -> str:
         "messages": [{"role": "user", "content": prompt}],
         "temperature": backend.temperature,
     }
-    last_error: object = None
-    for attempt in range(backend.max_retries + 1):
-        if attempt:
-            delay = backend.backoff_base * (2 ** (attempt - 1))
-            logger.info("retrying %s (attempt %d) after %.2fs",
-                        backend.id, attempt + 1, delay)
-            time.sleep(delay)
-        try:
-            resp = requests.post(backend.endpoint, json=payload,
-                                 headers=headers, timeout=backend.timeout)
-            if resp.status_code < 500 and resp.status_code not in (408, 429):
-                break
-            last_error = f"HTTP {resp.status_code}"
-        except requests.RequestException as exc:
-            last_error = exc
-    else:
-        raise BackendError(
-            f"backend {backend.id!r} failed after {backend.max_retries + 1} attempts: "
-            f"{last_error}")
+    try:
+        resp = requests.post(backend.endpoint, json=payload, headers=headers,
+                             timeout=backend.timeout)
+    except requests.RequestException as exc:
+        raise BackendError(f"backend {backend.id!r} failed: {exc}") from exc
+    if resp.status_code >= 500 or resp.status_code in (408, 429):
+        raise BackendError(f"backend {backend.id!r} answered HTTP {resp.status_code}")
     try:
         content = resp.json()["choices"][0]["message"]["content"]
     except (ValueError, LookupError, TypeError):

@@ -224,8 +224,10 @@ def bt_fit(prefs: Iterable[PreferenceRecord], epsilon: float = 0.5,
     ``epsilon`` pseudo-observations are added to every ordered pair,
     which keeps the comparison graph connected and the MLE finite on
     degenerate data.  With epsilon 0, a disconnected graph or a system
-    with no wins raises FitError.
+    with no wins raises FitError; a negative or NaN epsilon is a ValueError.
     """
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     records = list(prefs)
     systems = sorted({r.winner for r in records} | {r.loser for r in records})
     if len(systems) < 2:

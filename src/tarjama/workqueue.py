@@ -12,6 +12,10 @@ processes on a shared filesystem:
   a record already exists, making completion exactly-once per task;
 * task files are written to a temp name and renamed into place.
 
+A task is tried at most ``max_attempts`` times, counting transient backend
+errors and lease takeovers; a retry after a transient error keeps the lease
+and its pending record keeps the units translated so far.
+
 A draining worker lists pending/ once per pass and claims the listed
 tasks in directory order, not sorted order, so a drain's cost per task
 does not grow with the queue's depth.
@@ -33,7 +37,7 @@ import json
 import logging
 import os
 import time
-from contextlib import closing
+from contextlib import closing, suppress
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -44,7 +48,7 @@ from .corpus import (CorpusError, TranslationUnit, check_translated_record, json
 logger = logging.getLogger(__name__)
 
 DEFAULT_TTL_SECONDS = 1800.0  # generous: long reasoning traces generate slowly
-DEFAULT_MAX_ATTEMPTS = 3
+DEFAULT_MAX_ATTEMPTS = 6
 
 UnitKey = tuple[str, int, int, int]
 
@@ -288,8 +292,14 @@ def _claim(dirs: dict[str, Path], task_id: str, ttl: float,
             os.rename(lock_path, stale)
         except FileNotFoundError:
             return None
+        # A peer that took over since our expiry check owns the lock renamed
+        # away: link it back, unless yet another lock exists, and back off.
+        fresh = not _expired(stale, ttl, now)
+        if fresh:
+            with suppress(FileExistsError):
+                os.link(stale, lock_path)
         stale.unlink(missing_ok=True)
-        if not _try_lock(lock_path, now()):
+        if fresh or not _try_lock(lock_path, now()):
             return None
         took_over = True
     try:
@@ -352,15 +362,6 @@ def complete(queue_dir: Union[str, Path], task: Task, worker_id: str,
     (dirs["pending"] / f"{task.task_id}.json").unlink(missing_ok=True)
     (dirs["leases"] / f"{task.task_id}.lock").unlink(missing_ok=True)
     return published
-
-
-def release_task(queue_dir: Union[str, Path], task: Task) -> None:
-    """Write a leased task back to pending/, attempt counter included, and
-    drop its lease so any worker can claim it again."""
-    dirs = _dirs(queue_dir)
-    _atomic_write_json(dirs["pending"] / f"{task.task_id}.json",
-                       _task_json(task, json_text(task.unit_dicts)))
-    (dirs["leases"] / f"{task.task_id}.lock").unlink(missing_ok=True)
 
 
 def fail_task(queue_dir: Union[str, Path], task: Task, worker_id: str,
@@ -434,13 +435,13 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
     on each further idle pass up to ``poll_interval``; a claim resets it,
     so a peer that finishes within milliseconds costs milliseconds.
 
-    Crash-safe: leases left by killed workers expire ``ttl`` after their
-    lock files' mtime and their tasks are retried.  A ``BackendError``
-    (other than a ``PermanentBackendError``) counts as an attempt too: the
-    task goes back to pending/ with its attempt counter raised.  Tasks
-    whose attempt counter reaches ``max_attempts`` move to failed/ instead
-    of being retried forever; any other exception fails the task at
-    once."""
+    A task is tried at most ``max_attempts`` times, counting transient
+    errors and takeovers of leases, which expire ``ttl`` after their lock's
+    mtime.  On a ``BackendError`` that is not a ``PermanentBackendError``
+    the worker keeps the lease, raises the attempt counter, rewrites
+    pending/ with the translations so far, sleeps 0.25 s * 2^(attempt - 1)
+    and re-sends only the untranslated units.  At ``max_attempts``, or on
+    any other exception, the task moves to failed/."""
     processed = 0
     dirs = _dirs(queue_dir)
     wait = 0.0  # sleep before the next pass; 0 after a pass that claimed
@@ -456,29 +457,34 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
             if task is None:
                 continue
             wait = 0.0
-            if task.attempt >= max_attempts:
-                fail_task(queue_dir, task, worker_id,
-                          f"exceeded {max_attempts} attempts")
-                logger.warning("task %s moved to failed/ after %d attempts",
-                               task.task_id, task.attempt)
-                continue
-            try:
-                results = {
-                    unit.key: translate_chunk(backend, unit, prompt_template,
-                                              target_language=target_language)
-                    for unit in task.units
-                }
-            except Exception as exc:
-                if (isinstance(exc, BackendError)
-                        and not isinstance(exc, PermanentBackendError)):
+            reason: Optional[str] = f"exceeded {max_attempts} attempts"
+            while task.attempt < max_attempts:
+                results = {}
+                try:
+                    for unit, obj in zip(task.units, task.unit_dicts):
+                        if "translated_text" not in obj:  # else kept from a failed try
+                            obj["translated_text"] = translate_chunk(
+                                backend, unit, prompt_template,
+                                target_language=target_language)
+                        results[unit.key] = obj["translated_text"]
+                except Exception as exc:
+                    reason = f"translation failed: {exc}"
+                    if (not isinstance(exc, BackendError)
+                            or isinstance(exc, PermanentBackendError)):
+                        break
                     task.attempt += 1
                     if task.attempt < max_attempts:
-                        release_task(queue_dir, task)
-                        logger.warning("task %s attempt %d failed, retrying: %s",
-                                       task.task_id, task.attempt, exc)
-                        continue
-                fail_task(queue_dir, task, worker_id, f"translation failed: {exc}")
-                logger.error("task %s failed: %s", task.task_id, exc)
-                continue
-            if complete(queue_dir, task, worker_id, results):
-                processed += 1
+                        _atomic_write_json(dirs["pending"] / f"{task_id}.json",
+                                           _task_json(task, json_text(task.unit_dicts)))
+                        delay = 0.25 * 2 ** (task.attempt - 1)
+                        logger.warning("task %s attempt %d failed, retrying in %.2fs: %s",
+                                       task_id, task.attempt, delay, exc)
+                        sleep(delay)
+                    continue
+                reason = None
+                if complete(queue_dir, task, worker_id, results):
+                    processed += 1
+                break
+            if reason is not None:
+                fail_task(queue_dir, task, worker_id, reason)
+                logger.error("task %s failed: %s", task_id, reason)

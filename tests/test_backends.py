@@ -16,7 +16,9 @@ from tarjama.corpus import TranslationUnit
 from tarjama.tokenizers import TokenizerSpec
 from tarjama.workqueue import enqueue, worker_loop
 
-from conftest import make_conversation
+from tarjama.cli import main
+
+from conftest import corpus_jsonl, make_conversation, random_corpus
 
 
 def unit(text="hi"):
@@ -77,7 +79,9 @@ def test_backend_validation():
 
 
 class _FlakyHandler(BaseHTTPRequestHandler):
-    """Answers the first *failures* POSTs with *status*, then 200 *reply*."""
+    """Answers *failures* POSTs after the first *after* with *status*, and
+    every other POST with 200 *reply*."""
+    after = 0
     failures = 3
     status = 500
     reply = {"choices": [{"message": {"content": "مرحبا"}}]}
@@ -89,7 +93,7 @@ class _FlakyHandler(BaseHTTPRequestHandler):
         cls.seen += 1
         body = self.rfile.read(int(self.headers["Content-Length"]))
         cls.payloads.append(json.loads(body))
-        if cls.seen <= cls.failures:
+        if cls.after < cls.seen <= cls.after + cls.failures:
             self.send_response(cls.status)
             self.end_headers()
             return
@@ -106,7 +110,7 @@ class _FlakyHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture
 def flaky_server(monkeypatch):
-    for name in ("failures", "status", "reply"):  # restored after the test
+    for name in ("after", "failures", "status", "reply"):  # restored after the test
         monkeypatch.setattr(_FlakyHandler, name, getattr(_FlakyHandler, name))
     _FlakyHandler.seen = 0
     _FlakyHandler.payloads = []
@@ -118,35 +122,84 @@ def flaky_server(monkeypatch):
     server.server_close()
 
 
-def test_http_retries_until_success(flaky_server):
+def drain(queue, backend, **options):
+    """Drain *queue* at the default max_attempts with an injected sleep;
+    return the completed count and the sleeps."""
+    sleeps = []
+    done = worker_loop(queue, backend, "w1", ttl=60, poll_interval=0.01,
+                       sleep=sleeps.append, **options)
+    return done, sleeps
+
+
+def test_http_retries_until_success(tmp_path, flaky_server):
     backend = TranslatorBackend(id="m", kind="http-endpoint", endpoint=flaky_server,
-                                model="test-model", backoff_base=0.001)
-    result = translate_chunk(backend, unit("hello"),
-                             prompt_template="To {target_language}: {source}")
-    assert result == "مرحبا"
-    assert _FlakyHandler.seen == 4  # three 500s then a 200
+                                model="test-model")
+    with pytest.raises(BackendError):  # one POST, one transient error
+        translate_chunk(backend, unit("hello"))
+    assert _FlakyHandler.seen == 1
+    _FlakyHandler.seen = 0
+    enqueue(tmp_path, [unit("hello")], "m", batch_size=1)
+    prompt = "To {target_language}: {source}"
+    # Three 500s then a 200; each retry waits twice as long as the last.
+    assert drain(tmp_path, backend, prompt_template=prompt) == (1, [0.25, 0.5, 1.0])
+    assert _FlakyHandler.seen == 4
+    (done,) = (tmp_path / "done").iterdir()
+    record = json.loads(done.read_text(encoding="utf-8"))
+    assert record["attempt"] == 3 and record["units"][0]["translated_text"] == "مرحبا"
     sent = _FlakyHandler.payloads[-1]
     assert sent["model"] == "test-model"
     assert sent["temperature"] == pytest.approx(0.2)
     assert sent["messages"][0]["content"] == "To Arabic: hello"
 
 
-def test_http_gives_up_after_max_retries(flaky_server):
-    _FlakyHandler.failures = 99
-    backend = TranslatorBackend(id="m", kind="http-endpoint", endpoint=flaky_server,
-                                max_retries=2, backoff_base=0.001)
-    with pytest.raises(BackendError, match="after 3 attempts"):
-        translate_chunk(backend, unit("hello"))
-    _FlakyHandler.failures = 3
+def test_http_transient_error_costs_one_post_per_attempt(tmp_path, flaky_server):
+    _FlakyHandler.failures, _FlakyHandler.status = 99, 503
+    backend = TranslatorBackend(id="m", kind="http-endpoint", endpoint=flaky_server)
+    enqueue(tmp_path, [unit("hello")], "m", batch_size=1)
+    done, sleeps = drain(tmp_path, backend)
+    assert done == 0
+    assert _FlakyHandler.seen == 6  # DEFAULT_MAX_ATTEMPTS, one POST each
+    assert sleeps == [0.25, 0.5, 1.0, 2.0, 4.0]
+    (failed,) = (tmp_path / "failed").iterdir()
+    record = json.loads(failed.read_text(encoding="utf-8"))
+    assert record["attempt"] == 6 and "answered HTTP 503" in record["reason"]
 
 
 @pytest.mark.parametrize("status", [408, 429])
-def test_http_retries_timeouts_and_rate_limits(flaky_server, status):
+def test_http_retries_timeouts_and_rate_limits(tmp_path, flaky_server, status):
     _FlakyHandler.status = status
-    backend = TranslatorBackend(id="m", kind="http-endpoint", endpoint=flaky_server,
-                                backoff_base=0.001)
-    assert translate_chunk(backend, unit("hello")) == "مرحبا"
+    backend = TranslatorBackend(id="m", kind="http-endpoint", endpoint=flaky_server)
+    enqueue(tmp_path, [unit("hello")], "m", batch_size=1)
+    assert drain(tmp_path, backend) == (1, [0.25, 0.5, 1.0])
     assert _FlakyHandler.seen == 4
+
+
+def test_http_connection_error_is_transient():
+    backend = TranslatorBackend(id="m", kind="http-endpoint",
+                                endpoint="http://127.0.0.1:1/v1", timeout=5)
+    with pytest.raises(BackendError, match="failed") as err:
+        translate_chunk(backend, unit("hello"))
+    assert not isinstance(err.value, PermanentBackendError)
+
+
+def test_pipeline_against_a_flaky_endpoint_resends_only_untranslated_units(
+        tmp_path, flaky_server, rng):
+    # Two 503s in mid-task: the retried task keeps its first translations.
+    _FlakyHandler.after, _FlakyHandler.failures, _FlakyHandler.status = 2, 2, 503
+    conversations = random_corpus(rng, 6, think_prob=0.5)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(corpus_jsonl(conversations), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["pipeline", "--input", str(corpus), "--out", str(out),
+                 "--endpoint", flaky_server,
+                 "--manifest", str(tmp_path / "runs.jsonl")]) == 0
+    lines = (out / "translated_corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["id"] for line in lines] == [c.id for c in conversations]
+    rows = [json.loads(line) for line in
+            (out / "translated_units.jsonl").read_text(encoding="utf-8").splitlines()]
+    sent = [row for row in rows if row["translator_id"] != "passthrough"]
+    assert sent and all(row["translated_text"] == "مرحبا" for row in sent)
+    assert _FlakyHandler.seen == len(sent) + 2
 
 
 @pytest.mark.parametrize("failures, status, reply, reason", [
@@ -158,8 +211,7 @@ def test_permanent_http_error_costs_one_post_and_fails_its_task(
     _FlakyHandler.failures, _FlakyHandler.status = failures, status
     if reply is not None:
         _FlakyHandler.reply = reply
-    backend = TranslatorBackend(id="m", kind="http-endpoint", endpoint=flaky_server,
-                                backoff_base=0.001)
+    backend = TranslatorBackend(id="m", kind="http-endpoint", endpoint=flaky_server)
     with pytest.raises(PermanentBackendError, match=re.escape(reason)):
         translate_chunk(backend, unit("hello"))
     assert _FlakyHandler.seen == 1

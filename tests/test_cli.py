@@ -608,6 +608,19 @@ def test_bt_fit_names_the_line_of_a_bad_count(tmp_path, capsys):
     assert json.loads(manifest.read_text().splitlines()[-1])["exit_code"] == 1
 
 
+@pytest.mark.parametrize("epsilon", ["-0.2", "-1", "nan"])
+def test_bt_fit_rejects_a_negative_epsilon(tmp_path, capsys, epsilon):
+    prefs = tmp_path / "prefs.csv"
+    prefs.write_text("winner,loser,count\nA,B,3\nB,A,1\n", encoding="utf-8")
+    out = tmp_path / "scores.csv"
+    rc, manifest = run(["bt-fit", "--prefs", str(prefs), "--out", str(out),
+                        "--epsilon", epsilon], tmp_path)
+    assert rc == 1
+    assert f"error: epsilon must be >= 0, got {float(epsilon)}" in capsys.readouterr().err
+    assert not out.exists()
+    assert json.loads(manifest.read_text().splitlines()[-1])["exit_code"] == 1
+
+
 @pytest.mark.parametrize("field", ["conversation_id", "translator_id", "conversation"])
 def test_score_names_the_missing_field_of_a_candidate_row(tmp_path, capsys, field):
     conv = make_conversation("c")

@@ -9,7 +9,7 @@ from conftest import README_INI
 def test_default_config_hash_is_pinned():
     # Run manifests record this hash; a change in how records are turned
     # into the hashed payload would make old and new runs look different.
-    assert PipelineConfig().config_hash() == "d0424577a5bab8ce"
+    assert PipelineConfig().config_hash() == "253b2da7a03611e9"
 
 
 def test_readme_sample_config_loads_with_a_pinned_hash(tmp_path):

@@ -2,7 +2,8 @@
 
 ``perfbench/spans.py`` wraps the functions listed in ``LAYERS`` by name,
 so renaming or deleting one of them breaks ``perfbench/run.py --trace 1``
-without failing any other test.  ``SETUP_CODE`` in ``perfbench/run.py`` is
+without failing any other test; so does a change to a name or call shape
+that ``perfbench/probes.py`` uses.  ``SETUP_CODE`` in ``perfbench/run.py`` is
 what every benchmarked process does before its first stage, so what it
 imports is paid by every tarjama command."""
 
@@ -80,3 +81,35 @@ def test_setup_code_loads_no_lazy_module():
     loaded = _modules_after(_setup_code()) - _modules_after("pass")
     assert "tarjama" in loaded
     assert sorted(loaded.intersection(LAZY_MODULES)) == []
+
+
+PROBES_PATH = ROOT / "perfbench" / "probes.py"
+
+
+def test_every_name_probes_imports_from_tarjama_exists():
+    tree = ast.parse(PROBES_PATH.read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)
+               and (node.module or "").startswith("tarjama.")]
+    assert imports
+    for node in imports:
+        mod = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(mod, alias.name), f"{node.module}.{alias.name}"
+
+
+def test_probes_acquire_translate_complete_loop_runs(tmp_path):
+    # The call shape of probes.py's acquire-latency loop, on a one-task queue.
+    from tarjama.backends import TranslatorBackend, translate_chunk
+    from tarjama.corpus import TranslationUnit
+    from tarjama.workqueue import acquire, complete, enqueue
+
+    units = [TranslationUnit(conversation_id="c", message_index=i, part_type="visible",
+                             part_index=0, chunk_index=0, chunk_count=1, role="user",
+                             source_text=f"text {i}") for i in range(3)]
+    enqueue(tmp_path, units, "acquire", batch_size=8)
+    backend = TranslatorBackend(id="mock-identity", kind="mock-identity")
+    task = acquire(tmp_path, "p")
+    results = {u.key: translate_chunk(backend, u, "{source}", target_language="Arabic")
+               for u in task.units}
+    assert complete(tmp_path, task, "p", results) is True
+    assert acquire(tmp_path, "p") is None

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from test_chunking import DENSE_PIECES, small_policies
 
+from tarjama import workqueue
 from tarjama.backends import BackendError, BudgetExceededError, TranslatorBackend
 from tarjama.chunking import plan_chunks
 from tarjama.cli import main
@@ -18,8 +19,7 @@ from tarjama.tokenizers import TokenizerSpec, count_tokens
 from tarjama.workqueue import (ResultIncompleteError, _atomic_write_json,
                                _exclusive_publish_json, _task_to_dict, acquire,
                                complete, enqueue, fail_task, init_queue,
-                               pack_batches, queue_status, release_task,
-                               worker_loop)
+                               pack_batches, queue_status, worker_loop)
 
 
 def make_units(n, conv="c", texts=None):
@@ -199,10 +199,6 @@ def test_pending_record_is_the_json_of_the_task_dict(tmp_path):
     assert taken.attempt == 1
     assert _pending_text(tmp_path, task) == json.dumps(_task_to_dict(taken),
                                                        ensure_ascii=False)
-    taken.attempt = 2
-    release_task(tmp_path, taken)
-    assert _pending_text(tmp_path, task) == json.dumps(_task_to_dict(taken),
-                                                       ensure_ascii=False)
 
 
 def test_task_id_hashes_translator_id_and_units_json(tmp_path):
@@ -222,10 +218,9 @@ def test_done_record_adds_translation_fields_to_each_unit(tmp_path):
     (task,) = enqueue(tmp_path, units, "seed", batch_size=5)
     acquire(tmp_path, "w1", ttl=60, now=clock)
     clock.advance(61)
-    task = acquire(tmp_path, "w2", ttl=60, now=clock)  # takeover rewrites pending/
-    task.attempt += 1
-    release_task(tmp_path, task)  # and so does a release
-    task = acquire(tmp_path, "w3", ttl=60, now=clock)
+    acquire(tmp_path, "w2", ttl=60, now=clock)  # takeover rewrites pending/
+    clock.advance(61)
+    task = acquire(tmp_path, "w3", ttl=60, now=clock)  # and so does a second one
     results = {u.key: u.source_text[::-1] for u in task.units}
     assert complete(tmp_path, task, "w3", results)
     record = {"task_id": task.task_id, "translator_id": "seed", "worker_id": "w3",
@@ -324,17 +319,19 @@ def test_worker_loop_sends_poison_to_failed(tmp_path):
 
 
 class FailingTable(dict):
-    """Identity lookup for mock-table whose first *failures* calls raise *error*."""
+    """Identity lookup for mock-table whose *failures* calls after the first
+    *after* raise *error*."""
 
-    def __init__(self, failures, error=BackendError):
+    def __init__(self, failures, error=BackendError, after=0):
         super().__init__()
         self.failures = failures
         self.error = error
+        self.after = after
         self.calls = 0
 
     def get(self, key, default=None):
         self.calls += 1
-        if self.calls <= self.failures:
+        if self.after < self.calls <= self.after + self.failures:
             raise self.error(f"backend down (call {self.calls})")
         return key
 
@@ -362,6 +359,75 @@ def test_backend_that_always_fails_is_failed_after_max_attempts(tmp_path):
     record = json.loads(next((tmp_path / "failed").glob("*.json")).read_text())
     assert record["attempt"] == 3
     assert "call 3" in record["reason"]
+
+
+def test_a_retry_sends_only_the_untranslated_units(tmp_path):
+    units = make_units(40)
+    enqueue(tmp_path / "clean", units, "seed", batch_size=40)
+    clean = TranslatorBackend(id="seed", kind="mock-table", table=FailingTable(0))
+    assert worker_loop(tmp_path / "clean", clean, "w1", ttl=60) == 1
+    enqueue(tmp_path / "q", units, "seed", batch_size=40)
+    table = FailingTable(failures=1, after=4)  # the 5th call fails once
+    backend = TranslatorBackend(id="seed", kind="mock-table", table=table)
+    sleeps = []
+    assert worker_loop(tmp_path / "q", backend, "w1", ttl=60, sleep=sleeps.append) == 1
+    assert table.calls == 41 and sleeps == [0.25]
+
+    def done_units(queue):
+        (path,) = (queue / "done").iterdir()
+        return json.loads(path.read_text(encoding="utf-8"))["units"]
+
+    assert done_units(tmp_path / "q") == done_units(tmp_path / "clean")
+
+
+def test_a_transient_error_keeps_the_lease_and_rewrites_pending(tmp_path):
+    (task,) = enqueue(tmp_path, make_units(3, texts=ODD_TEXTS), "seed", batch_size=3)
+    lock = tmp_path / "leases" / f"{task.task_id}.lock"
+    seen = []
+
+    def sleep(seconds):  # the worker is between two tries of the task
+        seen.append((seconds, lock.exists(), json.loads(_pending_text(tmp_path, task))))
+
+    table = FailingTable(failures=2, after=1)
+    backend = TranslatorBackend(id="seed", kind="mock-table", table=table)
+    assert worker_loop(tmp_path, backend, "w1", ttl=60, sleep=sleep) == 1
+    assert table.calls == 5  # unit 0, two failures of unit 1, then units 1 and 2
+    kept = [dict(unit_to_dict(u), translated_text=u.source_text) for u in task.units]
+    for attempt, (seconds, leased, pending) in enumerate(seen, start=1):
+        assert seconds == 0.25 * 2 ** (attempt - 1) and leased
+        assert pending == dict(_task_to_dict(task), attempt=attempt,
+                               units=kept[:1] + task.unit_dicts[1:])
+    assert len(seen) == 2
+
+
+def test_takeover_puts_back_a_peer_lock_made_after_its_expiry_check(
+        tmp_path, monkeypatch):
+    # A peer takes the expired lease over between this claimant's expiry
+    # check and its rename, so the lock the claimant renames away is the
+    # peer's fresh one.
+    clock = FakeClock()
+    (task,) = enqueue(tmp_path, make_units(1), "seed", batch_size=1)
+    acquire(tmp_path, "w0", ttl=60, now=clock)
+    clock.advance(61)
+    lock = tmp_path / "leases" / f"{task.task_id}.lock"
+    real_expired = workqueue._expired
+    peer = []
+
+    def expired(path, ttl, now):
+        result = real_expired(path, ttl, now)
+        if not peer:  # once: the peer's own check must not recurse
+            peer.append(None)
+            peer[0] = acquire(tmp_path, "peer", ttl=60, now=clock)
+            peer.append(os.stat(lock))
+        return result
+
+    monkeypatch.setattr(workqueue, "_expired", expired)
+    assert acquire(tmp_path, "w1", ttl=60, now=clock) is None
+    granted, peer_lock = peer
+    assert granted is not None and granted.attempt == 1
+    now_lock = os.stat(lock)
+    assert (now_lock.st_ino, now_lock.st_mtime) == (peer_lock.st_ino, peer_lock.st_mtime)
+    assert [p.name for p in (tmp_path / "leases").iterdir()] == [lock.name]
 
 
 def test_budget_exceeded_fails_the_task_without_retry(tmp_path):
