@@ -21,7 +21,8 @@ from . import __version__, uniscript
 from .backends import BackendError, HttpRewardScorer, TranslatorBackend
 from .chunking import ChunkPolicy, chunker
 from .config import (BackendConfig, ConfigurationError, PipelineConfig, checked_alpha,
-                     checked_tau, checked_weights, load_config, _parse_ratios)
+                     checked_positive, checked_tau, checked_weights, load_config,
+                     _parse_ratios)
 from .corpus import (Candidate, CorpusError, check_translated_record, check_unit_record,
                      conversation_from_dict, conversation_to_dict, decompose, json_text,
                      jsonl_line, load_corpus, rebuild_conversations, unit_from_dict,
@@ -89,7 +90,8 @@ def _parse_weights(value: str) -> tuple[float, float, float]:
 
 # Override flags whose dest is the config field they replace, each with
 # the check its config value passes too.
-_FIELD_FLAGS = {"batch_size": None, "ttl_seconds": None, "alpha": checked_alpha,
+_FIELD_FLAGS = {"batch_size": checked_positive("batch_size"),
+                "ttl_seconds": checked_positive("ttl_seconds"), "alpha": checked_alpha,
                 "tau": checked_tau, "combine_weights": _parse_weights,
                 "strata_ratios": _parse_ratios, "sample_total": None, "seed": None,
                 "translate_system_messages": None, "strict": None}

@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .backends import DEFAULT_MAX_INPUT_TOKENS, DEFAULT_TEMPERATURE
 from .chunking import ChunkPolicy
@@ -131,6 +131,16 @@ def checked_weights(weights) -> tuple[float, float, float]:
     return tuple(weights)
 
 
+def checked_positive(key: str) -> Callable[[float], float]:
+    """A check that passes a value above 0 and raises a ValueError naming
+    *key* for any other, NaN included."""
+    def check(value: float) -> float:
+        if not value > 0:
+            raise ValueError(f"{key} must be positive")
+        return value
+    return check
+
+
 def load_config(path: Optional[str] = None) -> PipelineConfig:
     """Load configuration from an INI file; missing file is an error and
     missing keys fall back to defaults.  A file that ConfigParser rejects,
@@ -209,9 +219,9 @@ def load_config(path: Optional[str] = None) -> PipelineConfig:
         api_key_env=get("backend", "api_key_env") or None,
         table_path=table_path,
     )
-    cfg.ttl_seconds = get("queue", "ttl_seconds", cfg.ttl_seconds, "float")
-    cfg.max_attempts = get("queue", "max_attempts", cfg.max_attempts, "int")
-    cfg.batch_size = get("queue", "batch_size", cfg.batch_size, "int")
+    for key, kind in (("ttl_seconds", "float"), ("max_attempts", "int"),
+                      ("batch_size", "int")):
+        setattr(cfg, key, get("queue", key, getattr(cfg, key), kind, checked_positive(key)))
     keys = ("weight_lr", "weight_scr", "weight_rm")
     weights = [get("ranking", key, default, "float")
                for key, default in zip(keys, cfg.combine_weights)]

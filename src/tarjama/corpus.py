@@ -36,8 +36,8 @@ class CorpusError(Exception):
 class LineError(CorpusError):
     """A single JSONL line failed to parse or validate."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, name: str, line_no: int, message: str):
+        super().__init__(f"{name} line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -196,11 +196,13 @@ def conversation_to_dict(conv: Conversation) -> dict:
     return obj
 
 
-def parse_corpus(stream: Union[str, Iterable[str]], strict: bool = True) -> list[Conversation]:
+def parse_corpus(stream: Union[str, Iterable[str]], strict: bool = True,
+                 name: str = "corpus") -> list[Conversation]:
     """Parse JSONL conversations, one object per line.
 
     In strict mode any malformed line (or duplicate id) raises; in
-    lenient mode offending lines are skipped with a logged report.
+    lenient mode offending lines are skipped with a logged report.  Both
+    cite the lines as ``<name> line N: …``.
     """
     if isinstance(stream, str):
         stream = stream.splitlines()
@@ -214,17 +216,17 @@ def parse_corpus(stream: Union[str, Iterable[str]], strict: bool = True) -> list
             obj = json.loads(line)
             conv = conversation_from_dict(obj)
         except (json.JSONDecodeError, ValueError) as exc:
-            err = LineError(line_no, str(exc))
+            err = LineError(name, line_no, str(exc))
             if strict:
                 raise err from exc
-            logger.warning("skipping corpus %s", err)
+            logger.warning("skipping %s", err)
             continue
         if conv.id in seen:
-            err = CorpusError(
-                f"duplicate conversation id {conv.id!r} on lines {seen[conv.id]} and {line_no}")
+            err = CorpusError(f"{name} lines {seen[conv.id]} and {line_no}: "
+                              f"duplicate conversation id {conv.id!r}")
             if strict:
                 raise err
-            logger.warning("skipping corpus %s", err)
+            logger.warning("skipping %s", err)
             continue
         seen[conv.id] = line_no
         conversations.append(conv)
@@ -233,7 +235,7 @@ def parse_corpus(stream: Union[str, Iterable[str]], strict: bool = True) -> list
 
 def load_corpus(path: Union[str, Path], strict: bool = True) -> list[Conversation]:
     with open(path, encoding="utf-8") as fh:
-        return parse_corpus(fh, strict=strict)
+        return parse_corpus(fh, strict=strict, name=str(path))
 
 
 # One encoder for the process: ``json.dumps(obj, ensure_ascii=False)`` builds
@@ -438,9 +440,6 @@ def reconstruct(units: Sequence[Mapping], split: str = "",
                         category=category)
 
 
-_UNIT_ORDER = itemgetter("message_index", "part_index", "chunk_index")
-
-
 def rebuild_conversations(
         sources: Iterable[tuple[str, str, Optional[str]]],
         unit_dicts: Iterable[Mapping]) -> Iterator[tuple[list[Mapping], Conversation]]:
@@ -453,7 +452,7 @@ def rebuild_conversations(
     for conv_id, split, category in sources:
         if group_id != conv_id:
             raise CorpusError(f"no translated units for conversation {conv_id!r}")
-        objs = sorted(group, key=_UNIT_ORDER)
+        objs = sorted(group, key=_CHUNK_ORDER)
         group_id, group = next(groups, (None, ()))
         yield objs, reconstruct(objs, split, category)
 

@@ -72,8 +72,7 @@ def nearest_rank_p95(values: Sequence[float]) -> float:
     """ceil(0.95 * n)-th order statistic, no interpolation."""
     if not values:
         raise ValueError("p95 of empty sequence")
-    ordered = sorted(values)
-    return ordered[math.ceil(0.95 * len(ordered)) - 1]
+    return _weighted_order_statistic([(value, 1) for value in values], 0.95)
 
 
 def aggregate_split(scores: Sequence[QualityScore], split: str) -> SplitStats:

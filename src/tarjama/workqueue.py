@@ -1,20 +1,23 @@
 """Multi-process work queue over a shared directory.
 
-Layout: ``pending/<task_id>.json``, ``leases/<task_id>.lock``,
-``done/<task_id>.json``, ``failed/<task_id>.json``.  All coordination
-uses atomic filesystem operations, so the queue is safe across worker
-processes on a shared filesystem:
+Layout: ``pending/<task_id>.json``, ``leases/<task_id>.lock`` (attempt 0)
+and ``leases/<task_id>.<n>.lock`` (attempt n), ``done/<task_id>.json``,
+``failed/<task_id>.json``.  All coordination uses atomic filesystem
+operations, so the queue is safe across worker processes on a shared
+filesystem:
 
-* a lease is an exclusively created empty lock file whose mtime is its
-  claim time; after each worker's own ``ttl`` it is taken over by renaming
-  it away before re-locking, so takeover is exactly-once;
+* every attempt of a task is one exclusive create of that attempt's lock,
+  an empty file whose mtime is its claim time; a claimant that finds a
+  lock older than its own ``ttl`` moves on to the next attempt's lock.  A
+  task's locks stay until it leaves pending/, so no attempt is granted
+  twice and the attempt count lives only in the lock's name;
 * completions publish via ``os.link`` onto the done path, which fails if
   a record already exists, making completion exactly-once per task;
 * task files are written to a temp name and renamed into place.
 
 A task is tried at most ``max_attempts`` times, counting transient backend
-errors and lease takeovers; a retry after a transient error keeps the lease
-and its pending record keeps the units translated so far.
+errors and lease takeovers; a retry after a transient error is the task's
+next attempt, and its pending record keeps the units translated so far.
 
 A draining worker lists pending/ once per pass and claims the listed
 tasks in directory order, not sorted order, so a drain's cost per task
@@ -37,7 +40,8 @@ import json
 import logging
 import os
 import time
-from contextlib import closing, suppress
+from contextlib import closing
+from itertools import count
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -64,7 +68,8 @@ class ResultIncompleteError(QueueError):
 
 
 class Task:
-    """A batch of units for one translator.  ``unit_dicts`` are the units as
+    """A batch of units for one translator.  ``attempt`` is the number of the
+    lock a claimed task holds.  ``unit_dicts`` are the units as
     ``unit_to_dict`` gives them; a claimed task keeps the dicts it decoded
     from its pending record, other tasks build them on first use."""
     __slots__ = ("task_id", "translator_id", "attempt", "units", "_unit_dicts")
@@ -129,19 +134,19 @@ def _exclusive_publish_json(path: Path, obj: dict) -> bool:
 
 
 def _task_to_dict(task: Task) -> dict:
+    """A task's pending record; its attempt is the name of the lock it holds."""
     return {
         "task_id": task.task_id,
         "translator_id": task.translator_id,
-        "attempt": task.attempt,
         "units": task.unit_dicts,
     }
 
 
-def _task_from_dict(obj: Mapping) -> Task:
+def _task_from_dict(obj: Mapping, attempt: int) -> Task:
     return Task(
         task_id=obj["task_id"],
         translator_id=obj["translator_id"],
-        attempt=obj["attempt"],
+        attempt=attempt,
         units=[unit_from_dict(u) for u in obj["units"]],
         unit_dicts=obj["units"],
     )
@@ -164,8 +169,7 @@ def _task_json(task: Task, units_json: str) -> str:
     """The text ``json_text(_task_to_dict(task))`` gives, around the
     already encoded units of *task*."""
     return (f'{{"task_id": {json_text(task.task_id)}, '
-            f'"translator_id": {json_text(task.translator_id)}, '
-            f'"attempt": {json_text(task.attempt)}, "units": {units_json}}}')
+            f'"translator_id": {json_text(task.translator_id)}, "units": {units_json}}}')
 
 
 def pack_batches(units: Iterable[TranslationUnit], batch_size: int,
@@ -267,51 +271,48 @@ def _pending_ids(pending: Path) -> Iterator[str]:
                 yield entry.name[:-5]
 
 
-def _claim(dirs: dict[str, Path], task_id: str, ttl: float,
-           now: Callable[[], float]) -> Optional[Task]:
-    """Lease one task by id, or None when it is done, held or gone.
+def _lock_path(leases: Path, task_id: str, attempt: int) -> Path:
+    """The lock of one attempt of a task; attempt 0 keeps the name that the
+    one lock of older versions had."""
+    return leases / (f"{task_id}.{attempt}.lock" if attempt else f"{task_id}.lock")
 
-    Expired leases are taken over (incrementing the task's attempt
-    counter); exclusive lock-file creation guarantees no double grant."""
+
+def _unlock(dirs: dict[str, Path], task_id: str, held: int = 0) -> None:
+    """Remove the locks of a task that has left pending/: those of attempts
+    0 to *held*, which a peer's cleanup may have removed already, and those
+    after it up to the first one missing."""
+    for attempt in count():
+        try:
+            _lock_path(dirs["leases"], task_id, attempt).unlink()
+        except FileNotFoundError:
+            if attempt >= held:
+                return
+
+
+def _claim(dirs: dict[str, Path], task_id: str, ttl: float,
+           now: Callable[[], float], attempt: int = 0) -> Optional[Task]:
+    """Lease one task by id at its first free attempt from *attempt* on, or
+    None when it is done, held or gone.
+
+    An attempt whose lock has expired is passed over; the first attempt
+    without a lock is leased by creating that lock exclusively, so no
+    attempt is granted twice.  The task is then read from pending/."""
     pending_path = dirs["pending"] / f"{task_id}.json"
-    done_path = dirs["done"] / f"{task_id}.json"
-    lock_path = dirs["leases"] / f"{task_id}.lock"
-    if done_path.exists():
+    if (dirs["done"] / f"{task_id}.json").exists():
         # Completed by a worker that died before tidying up.
         pending_path.unlink(missing_ok=True)
-        lock_path.unlink(missing_ok=True)
+        _unlock(dirs, task_id)
         return None
-    took_over = False
-    if not _try_lock(lock_path, now()):
-        if not _expired(lock_path, ttl, now):
+    while not _try_lock(lock := _lock_path(dirs["leases"], task_id, attempt), now()):
+        if not _expired(lock, ttl, now):
             return None
-        # Claim the stale lock by renaming it away; exactly one
-        # claimant wins the rename, then locking proceeds normally.
-        stale = lock_path.with_name(f".{task_id}.stale.{os.urandom(16).hex()}")
-        try:
-            os.rename(lock_path, stale)
-        except FileNotFoundError:
-            return None
-        # A peer that took over since our expiry check owns the lock renamed
-        # away: link it back, unless yet another lock exists, and back off.
-        fresh = not _expired(stale, ttl, now)
-        if fresh:
-            with suppress(FileExistsError):
-                os.link(stale, lock_path)
-        stale.unlink(missing_ok=True)
-        if fresh or not _try_lock(lock_path, now()):
-            return None
-        took_over = True
+        attempt += 1
     try:
-        task = _task_from_dict(json.loads(pending_path.read_text(encoding="utf-8")))
+        return _task_from_dict(json.loads(pending_path.read_text(encoding="utf-8")), attempt)
     except (OSError, json.JSONDecodeError):
-        # Task vanished (completed) or is mid-replacement; back off.
-        lock_path.unlink(missing_ok=True)
+        # Gone from pending/ since the done check, or unreadable; back off.
+        lock.unlink(missing_ok=True)
         return None
-    if took_over:
-        task.attempt += 1
-        _atomic_write_json(pending_path, _task_json(task, json_text(task.unit_dicts)))
-    return task
 
 
 def acquire(queue_dir: Union[str, Path], worker_id: str,
@@ -320,9 +321,8 @@ def acquire(queue_dir: Union[str, Path], worker_id: str,
     """Claim one pending task, or None when nothing is claimable.
 
     Reads pending/ in directory order and returns the first task that can
-    be leased, without listing the rest.  Expired leases are taken over
-    (incrementing the task's attempt counter); exclusive lock-file
-    creation guarantees no double grant."""
+    be leased, without listing the rest.  A task whose lease has expired
+    is taken over at its next attempt (see ``_claim``)."""
     dirs = _dirs(queue_dir)
     with closing(_pending_ids(dirs["pending"])) as task_ids:
         for task_id in task_ids:
@@ -360,7 +360,7 @@ def complete(queue_dir: Union[str, Path], task: Task, worker_id: str,
         logger.warning("task %s already completed; discarding duplicate from %s",
                        task.task_id, worker_id)
     (dirs["pending"] / f"{task.task_id}.json").unlink(missing_ok=True)
-    (dirs["leases"] / f"{task.task_id}.lock").unlink(missing_ok=True)
+    _unlock(dirs, task.task_id, task.attempt)
     return published
 
 
@@ -370,10 +370,11 @@ def fail_task(queue_dir: Union[str, Path], task: Task, worker_id: str,
     earlier failure of the same task is replaced, so it holds the latest
     reason."""
     dirs = _dirs(queue_dir)
-    record = dict(_task_to_dict(task), worker_id=worker_id, reason=reason)
+    record = dict(_task_to_dict(task), attempt=task.attempt, worker_id=worker_id,
+                  reason=reason)
     _atomic_write_json(dirs["failed"] / f"{task.task_id}.json", json_text(record))
     (dirs["pending"] / f"{task.task_id}.json").unlink(missing_ok=True)
-    (dirs["leases"] / f"{task.task_id}.lock").unlink(missing_ok=True)
+    _unlock(dirs, task.task_id, task.attempt)
 
 
 def done_unit_dicts(queue_dir: Union[str, Path],
@@ -405,14 +406,17 @@ def done_unit_dicts(queue_dir: Union[str, Path],
 
 def queue_status(queue_dir: Union[str, Path], ttl: float = DEFAULT_TTL_SECONDS,
                  now: Callable[[], float] = time.time) -> dict[str, int]:
-    """Task counts per state; a lock counts as leased until *ttl* after its mtime."""
+    """Task counts per state; a task is leased while one of its locks is
+    younger than *ttl*."""
     dirs = _dirs(queue_dir)
-    count = (lambda p: sum(1 for _ in p.glob("*.json")))  # none if p is missing
+    records = (lambda p: sum(1 for _ in p.glob("*.json")))  # none if p is missing
+    leased = {lock.name.split(".", 1)[0] for lock in dirs["leases"].glob("*.lock")
+              if not _expired(lock, ttl, now)}
     return {
-        "pending": count(dirs["pending"]),
-        "leased": sum(not _expired(lock, ttl, now) for lock in dirs["leases"].glob("*.lock")),
-        "done": count(dirs["done"]),
-        "failed": count(dirs["failed"]),
+        "pending": records(dirs["pending"]),
+        "leased": len(leased),
+        "done": records(dirs["done"]),
+        "failed": records(dirs["failed"]),
     }
 
 
@@ -438,10 +442,13 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
     A task is tried at most ``max_attempts`` times, counting transient
     errors and takeovers of leases, which expire ``ttl`` after their lock's
     mtime.  On a ``BackendError`` that is not a ``PermanentBackendError``
-    the worker keeps the lease, raises the attempt counter, rewrites
-    pending/ with the translations so far, sleeps 0.25 s * 2^(attempt - 1)
-    and re-sends only the untranslated units.  At ``max_attempts``, or on
-    any other exception, the task moves to failed/."""
+    the worker rewrites pending/ with the translations so far, sleeps
+    0.25 s * 2^attempt, and claims the task's next attempt from pending/ by
+    creating that attempt's lock; it then re-sends only the untranslated
+    units.  If the lock exists or the task has left pending/, a peer took
+    the task over, and the worker drops it with no further call.  At
+    ``max_attempts``, or on any other exception, the task moves to
+    failed/."""
     processed = 0
     dirs = _dirs(queue_dir)
     wait = 0.0  # sleep before the next pass; 0 after a pass that claimed
@@ -458,7 +465,7 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
                 continue
             wait = 0.0
             reason: Optional[str] = f"exceeded {max_attempts} attempts"
-            while task.attempt < max_attempts:
+            while task is not None and task.attempt < max_attempts:
                 results = {}
                 try:
                     for unit, obj in zip(task.units, task.unit_dicts):
@@ -472,19 +479,21 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
                     if (not isinstance(exc, BackendError)
                             or isinstance(exc, PermanentBackendError)):
                         break
-                    task.attempt += 1
-                    if task.attempt < max_attempts:
-                        _atomic_write_json(dirs["pending"] / f"{task_id}.json",
-                                           _task_json(task, json_text(task.unit_dicts)))
-                        delay = 0.25 * 2 ** (task.attempt - 1)
+                    _atomic_write_json(dirs["pending"] / f"{task_id}.json",
+                                       _task_json(task, json_text(task.unit_dicts)))
+                    if task.attempt + 1 < max_attempts:
+                        delay = 0.25 * 2 ** task.attempt
                         logger.warning("task %s attempt %d failed, retrying in %.2fs: %s",
-                                       task_id, task.attempt, delay, exc)
+                                       task_id, task.attempt + 1, delay, exc)
                         sleep(delay)
+                    task = _claim(dirs, task_id, ttl, now, task.attempt + 1)
                     continue
                 reason = None
                 if complete(queue_dir, task, worker_id, results):
                     processed += 1
                 break
-            if reason is not None:
+            if task is None:
+                logger.warning("task %s was taken over by a peer; dropping it", task_id)
+            elif reason is not None:
                 fail_task(queue_dir, task, worker_id, reason)
                 logger.error("task %s failed: %s", task_id, reason)

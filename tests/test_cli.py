@@ -854,6 +854,30 @@ def test_invalid_corpus_exits_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("subcommand", ["decompose", "score"])
+def test_corpus_errors_name_their_file(tmp_path, capsys, caplog, subcommand):
+    good = corpus_jsonl([make_conversation("c")])
+    no_split = json.dumps({"id": "d", "messages": [{"role": "user", "content": "x"}]})
+    corpus_path = tmp_path / "bad.jsonl"
+    candidates = tmp_path / "candidates.jsonl"
+    candidates.write_text("", encoding="utf-8")
+    args = {"decompose": ["decompose", "--input", str(corpus_path),
+                          "--units-out", str(tmp_path / "u.jsonl")],
+            "score": ["score", "--corpus", str(corpus_path), "--candidates", str(candidates),
+                      "--out", str(tmp_path / "s.jsonl")]}[subcommand]
+    for text, message in [
+            (good + no_split + "\n", "line 2: missing required field 'split'"),
+            (good + good, "lines 1 and 2: duplicate conversation id 'c'")]:
+        corpus_path.write_text(text, encoding="utf-8")
+        rc, _ = run(args, tmp_path)
+        assert rc == 1
+        assert f"error: {corpus_path} {message}" in capsys.readouterr().err
+        with caplog.at_level("WARNING"):
+            assert run(args + ["--lenient"], tmp_path)[0] == 0
+        assert f"skipping {corpus_path} {message}" in caplog.text
+        caplog.clear()
+
+
 def test_lenient_flag_skips_bad_lines(tmp_path):
     conv = make_conversation("good", contents=[("user", "hi")])
     mixed = tmp_path / "mixed.jsonl"
@@ -1047,6 +1071,8 @@ def test_no_flag_left_unset_stands_in_for_a_config_value(tmp_path, resolve, subc
     ("rank", ["--weights", "0,0,0"], "weights must not all be zero"),
     ("rank", ["--weights", "1,2"], "weights must be three comma-separated numbers"),
     ("sample", ["--ratios", ","], "cannot parse ratios from ','"),
+    ("work", ["--ttl", "-5"], "ttl_seconds must be positive"),
+    ("enqueue", ["--batch-size", "0"], "batch_size must be positive"),
 ])
 def test_bad_override_flag_exits_1(tmp_path, capsys, subcommand, flags, message):
     rc, _ = run(SUBCOMMANDS[subcommand] + flags, tmp_path)
@@ -1059,6 +1085,7 @@ def test_bad_override_flag_exits_1(tmp_path, capsys, subcommand, flags, message)
     ("[metrics]\nalpha = -1\n", "[metrics] alpha: alpha must be positive"),
     ("[ranking]\nweight_lr = -1\n", "[ranking] weight_lr: weights must be non-negative"),
     ("[chunking]\nhard_cap_token = 9\n", "[chunking] hard_cap_token: unknown key"),
+    ("[queue]\nmax_attempts = 0\n", "[queue] max_attempts: max_attempts must be positive"),
 ])
 def test_bad_config_stops_pipeline_before_any_translation(
         tmp_path, capsys, fixture_corpus, ini, message):

@@ -29,6 +29,11 @@ def test_readme_sample_config_loads_with_a_pinned_hash(tmp_path):
 @pytest.mark.parametrize("ini, where", [
     ("[metrics]\nalpha = 1.25   ; comment\n", "[metrics] alpha:"),          # getfloat
     ("[queue]\nbatch_size = eight\n", "[queue] batch_size:"),               # getint
+    # the queue's values must be positive
+    ("[queue]\nttl_seconds = 0\n", "[queue] ttl_seconds: ttl_seconds must be positive"),
+    ("[queue]\nttl_seconds = nan\n", "[queue] ttl_seconds: ttl_seconds must be positive"),
+    ("[queue]\nmax_attempts = 0\n", "[queue] max_attempts: max_attempts must be positive"),
+    ("[queue]\nbatch_size = 0\n", "[queue] batch_size: batch_size must be positive"),
     ("[run]\nstrict = maybe\n", "[run] strict:"),                           # getboolean
     ("[chunking]\ntarget_tokens = 600\n",                                  # ChunkPolicy
      "[chunking]: target_tokens must not exceed hard_cap_tokens"),

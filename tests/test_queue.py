@@ -136,7 +136,8 @@ def test_lock_holding_a_lease_json_is_taken_over_ttl_after_its_mtime(tmp_path):
     assert acquire(tmp_path, "w2", ttl=60, now=lambda: 1060.0) is None
     taken = acquire(tmp_path, "w2", ttl=60, now=lambda: 1060.5)
     assert taken.task_id == task.task_id and taken.attempt == 1
-    assert lock.read_bytes() == b"" and lock.stat().st_mtime == 1060.5
+    new_lock = tmp_path / "leases" / f"{task.task_id}.1.lock"
+    assert new_lock.read_bytes() == b"" and new_lock.stat().st_mtime == 1060.5
 
 
 def test_expired_lease_reacquired_with_attempt_bump(tmp_path):
@@ -149,9 +150,11 @@ def test_expired_lease_reacquired_with_attempt_bump(tmp_path):
     assert second is not None
     assert second.task_id == first.task_id
     assert second.attempt == 1
-    # and the pending file records the bump for future takeovers
+    # and the lock's name records the bump for future takeovers
+    assert sorted(p.name for p in (tmp_path / "leases").iterdir()) == [
+        f"{first.task_id}.1.lock", f"{first.task_id}.lock"]
     stored = json.loads((tmp_path / "pending" / f"{first.task_id}.json").read_text())
-    assert stored["attempt"] == 1
+    assert "attempt" not in stored
 
 
 def test_torn_lease_expires_ttl_after_its_mtime(tmp_path):
@@ -165,7 +168,7 @@ def test_torn_lease_expires_ttl_after_its_mtime(tmp_path):
     taken = acquire(tmp_path, "w2", ttl=1.0, now=lambda: later)
     assert taken is not None
     assert taken.task_id == task.task_id and taken.attempt == 1
-    assert lock.stat().st_mtime == later
+    assert (tmp_path / "leases" / f"{task.task_id}.1.lock").stat().st_mtime == later
 
 
 def test_complete_writes_done_and_clears(tmp_path):
@@ -195,10 +198,10 @@ def test_pending_record_is_the_json_of_the_task_dict(tmp_path):
     assert json.loads(text) == _task_to_dict(task)
     acquire(tmp_path, "w1", ttl=60, now=clock)
     clock.advance(61)
-    taken = acquire(tmp_path, "w2", ttl=60, now=clock)  # takeover rewrites pending/
+    taken = acquire(tmp_path, "w2", ttl=60, now=clock)  # takeover leaves pending/ as is
     assert taken.attempt == 1
-    assert _pending_text(tmp_path, task) == json.dumps(_task_to_dict(taken),
-                                                       ensure_ascii=False)
+    assert _pending_text(tmp_path, task) == text
+    assert "attempt" not in json.loads(text)
 
 
 def test_task_id_hashes_translator_id_and_units_json(tmp_path):
@@ -218,9 +221,9 @@ def test_done_record_adds_translation_fields_to_each_unit(tmp_path):
     (task,) = enqueue(tmp_path, units, "seed", batch_size=5)
     acquire(tmp_path, "w1", ttl=60, now=clock)
     clock.advance(61)
-    acquire(tmp_path, "w2", ttl=60, now=clock)  # takeover rewrites pending/
+    acquire(tmp_path, "w2", ttl=60, now=clock)  # a takeover
     clock.advance(61)
-    task = acquire(tmp_path, "w3", ttl=60, now=clock)  # and so does a second one
+    task = acquire(tmp_path, "w3", ttl=60, now=clock)  # and a second one
     results = {u.key: u.source_text[::-1] for u in task.units}
     assert complete(tmp_path, task, "w3", results)
     record = {"task_id": task.task_id, "translator_id": "seed", "worker_id": "w3",
@@ -382,52 +385,119 @@ def test_a_retry_sends_only_the_untranslated_units(tmp_path):
 
 def test_a_transient_error_keeps_the_lease_and_rewrites_pending(tmp_path):
     (task,) = enqueue(tmp_path, make_units(3, texts=ODD_TEXTS), "seed", batch_size=3)
-    lock = tmp_path / "leases" / f"{task.task_id}.lock"
+    leases = tmp_path / "leases"
     seen = []
 
     def sleep(seconds):  # the worker is between two tries of the task
-        seen.append((seconds, lock.exists(), json.loads(_pending_text(tmp_path, task))))
+        locks = sorted(p.name for p in leases.iterdir())
+        seen.append((seconds, locks, json.loads(_pending_text(tmp_path, task))))
 
     table = FailingTable(failures=2, after=1)
     backend = TranslatorBackend(id="seed", kind="mock-table", table=table)
     assert worker_loop(tmp_path, backend, "w1", ttl=60, sleep=sleep) == 1
     assert table.calls == 5  # unit 0, two failures of unit 1, then units 1 and 2
     kept = [dict(unit_to_dict(u), translated_text=u.source_text) for u in task.units]
-    for attempt, (seconds, leased, pending) in enumerate(seen, start=1):
-        assert seconds == 0.25 * 2 ** (attempt - 1) and leased
-        assert pending == dict(_task_to_dict(task), attempt=attempt,
-                               units=kept[:1] + task.unit_dicts[1:])
+    # The attempt that failed holds its lock, and the next one is not made yet.
+    held = [f"{task.task_id}.lock", f"{task.task_id}.1.lock"]
+    for attempt, (seconds, locks, pending) in enumerate(seen, start=1):
+        assert seconds == 0.25 * 2 ** (attempt - 1)
+        assert locks == sorted(held[:attempt])
+        assert pending == dict(_task_to_dict(task), units=kept[:1] + task.unit_dicts[1:])
     assert len(seen) == 2
 
 
-def test_takeover_puts_back_a_peer_lock_made_after_its_expiry_check(
-        tmp_path, monkeypatch):
-    # A peer takes the expired lease over between this claimant's expiry
-    # check and its rename, so the lock the claimant renames away is the
-    # peer's fresh one.
+def test_a_retry_holds_two_fresh_locks_of_one_leased_task(tmp_path):
+    (task,) = enqueue(tmp_path, make_units(2), "seed", batch_size=2)
+    seen = []
+
+    class Watching(FailingTable):
+        def get(self, key, default=None):
+            locks = sorted(p.name for p in (tmp_path / "leases").iterdir())
+            seen.append((locks, queue_status(tmp_path, ttl=60)["leased"]))
+            return super().get(key, default)
+
+    backend = TranslatorBackend(id="seed", kind="mock-table",
+                                table=Watching(failures=1, after=1))
+    assert worker_loop(tmp_path, backend, "w1", ttl=60, sleep=lambda s: None) == 1
+    first, retry = [f"{task.task_id}.lock"], [f"{task.task_id}.1.lock", f"{task.task_id}.lock"]
+    assert seen == [(first, 1), (first, 1), (retry, 1)]
+    assert list((tmp_path / "leases").iterdir()) == []
+
+
+def test_a_peer_that_takes_over_during_a_back_off_keeps_the_task(tmp_path):
+    clock = FakeClock()
+    (task,) = enqueue(tmp_path, make_units(4), "seed", batch_size=4)
+    table = FailingTable(failures=1, after=1)  # the 2nd call fails
+    backend = TranslatorBackend(id="seed", kind="mock-table", table=table)
+    peer_table = FailingTable(failures=0)
+    peer = TranslatorBackend(id="seed", kind="mock-table", table=peer_table)
+
+    def sleep(seconds):  # the back-off outlasts the lease, and a peer takes over
+        clock.advance(61)
+        assert worker_loop(tmp_path, peer, "peer", ttl=60, now=clock) == 1
+
+    assert worker_loop(tmp_path, backend, "w1", ttl=60, now=clock, sleep=sleep) == 0
+    assert table.calls == 2  # none after the takeover
+    assert peer_table.calls == 3  # the kept translation is not sent again
+    record = json.loads((tmp_path / "done" / f"{task.task_id}.json").read_text())
+    assert record["worker_id"] == "peer" and record["attempt"] == 1
+    assert list((tmp_path / "leases").iterdir()) == []
+    assert queue_status(tmp_path, now=clock) == {"pending": 0, "leased": 0, "done": 1,
+                                                 "failed": 0}
+
+
+def test_no_lock_is_left_when_a_peer_cleared_the_earlier_ones(tmp_path):
+    # A peer fails the task while this worker's call outlives its lease, so
+    # the lock this worker takes next lies above the ones the peer removed.
+    clock = FakeClock()
+    enqueue(tmp_path, make_units(1), "seed", batch_size=1)
+    peer = TranslatorBackend(id="seed", kind="mock-table",
+                             table=FailingTable(failures=1, error=BudgetExceededError))
+
+    class OutlivesItsLease(FailingTable):
+        def get(self, key, default=None):
+            if self.calls == 0:
+                clock.advance(61)
+                worker_loop(tmp_path, peer, "peer", ttl=60, now=clock)
+            return super().get(key, default)
+
+    backend = TranslatorBackend(id="seed", kind="mock-table",
+                                table=OutlivesItsLease(failures=1))
+    worker_loop(tmp_path, backend, "w1", ttl=60, now=clock, sleep=lambda s: None)
+    assert list((tmp_path / "leases").iterdir()) == []
+    assert list((tmp_path / "pending").iterdir()) == []
+
+
+def test_a_takeover_is_granted_once_to_three_claimants(tmp_path, monkeypatch):
+    # A peer takes the expired lease over during this claimant's expiry
+    # check, and a third claimant tries during its next step.
     clock = FakeClock()
     (task,) = enqueue(tmp_path, make_units(1), "seed", batch_size=1)
     acquire(tmp_path, "w0", ttl=60, now=clock)
     clock.advance(61)
-    lock = tmp_path / "leases" / f"{task.task_id}.lock"
     real_expired = workqueue._expired
-    peer = []
+    others = ["peer", "third"]
+    granted = {}
+    inside = []
 
     def expired(path, ttl, now):
         result = real_expired(path, ttl, now)
-        if not peer:  # once: the peer's own check must not recurse
-            peer.append(None)
-            peer[0] = acquire(tmp_path, "peer", ttl=60, now=clock)
-            peer.append(os.stat(lock))
+        if others and not inside:  # the claimants' own checks run unhooked
+            inside.append(others.pop(0))
+            granted[inside[0]] = acquire(tmp_path, inside[0], ttl=60, now=clock)
+            inside.clear()
         return result
 
     monkeypatch.setattr(workqueue, "_expired", expired)
-    assert acquire(tmp_path, "w1", ttl=60, now=clock) is None
-    granted, peer_lock = peer
-    assert granted is not None and granted.attempt == 1
-    now_lock = os.stat(lock)
-    assert (now_lock.st_ino, now_lock.st_mtime) == (peer_lock.st_ino, peer_lock.st_mtime)
-    assert [p.name for p in (tmp_path / "leases").iterdir()] == [lock.name]
+    granted["w1"] = acquire(tmp_path, "w1", ttl=60, now=clock)
+    monkeypatch.setattr(workqueue, "_expired", real_expired)
+    assert granted["peer"] is not None and granted["peer"].attempt == 1
+    assert granted["third"] is None and granted["w1"] is None
+    peer_lock = tmp_path / "leases" / f"{task.task_id}.1.lock"
+    assert peer_lock.stat().st_mtime == clock()
+    assert sorted(p.name for p in (tmp_path / "leases").iterdir()) == [
+        peer_lock.name, f"{task.task_id}.lock"]
+    assert queue_status(tmp_path, ttl=60, now=clock)["leased"] == 1
 
 
 def test_budget_exceeded_fails_the_task_without_retry(tmp_path):
@@ -621,6 +691,31 @@ def test_concurrent_acquire_never_double_grants(tmp_path):
         all_claims.extend(json.loads(path.read_text()))
     assert len(all_claims) == 60
     assert len(set(all_claims)) == 60
+
+
+def test_concurrent_takeovers_grant_each_task_once(tmp_path):
+    queue_dir = tmp_path / "q"
+    out_dir = tmp_path / "claims"
+    out_dir.mkdir()
+    tasks = enqueue(queue_dir, make_units(60), "seed", batch_size=1)
+    for _ in tasks:  # every lease has expired before the race starts
+        assert acquire(queue_dir, "w-old", ttl=300, now=lambda: time.time() - 1000)
+    barrier = multiprocessing.Barrier(4)
+    procs = [multiprocessing.Process(target=_racer,
+                                     args=(str(queue_dir), f"w{i}", str(out_dir), barrier))
+             for i in range(4)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=60)
+        assert p.exitcode == 0
+    all_claims = []
+    for path in out_dir.glob("*.json"):
+        all_claims.extend(json.loads(path.read_text()))
+    assert sorted(all_claims) == sorted(t.task_id for t in tasks)
+    # Each grant made attempt 1's lock, and no claimant went on to attempt 2.
+    assert sorted(p.name for p in (queue_dir / "leases").iterdir()) == sorted(
+        name for t in tasks for name in (f"{t.task_id}.lock", f"{t.task_id}.1.lock"))
 
 
 def _worker_main(queue_dir, worker_id):
