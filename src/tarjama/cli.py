@@ -453,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue", required=True)
     p.add_argument("--worker-id", required=True)
     p.add_argument("--ttl", dest="ttl_seconds", type=float,
-                   help="a lease (an empty lock file) lasts ttl seconds after its "
-                        "mtime, the claim time, by each worker's own ttl")
+                   help="a lease lasts ttl seconds after its lock file's mtime (the "
+                        "claim time, or the holder's last retry), by each worker's own ttl")
     p.add_argument("--backend", choices=("mock-identity", "mock-table", "http-endpoint"))
     p.add_argument("--endpoint")
     p.add_argument("--model")

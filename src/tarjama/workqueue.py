@@ -4,20 +4,27 @@ Layout: ``pending/<task_id>.json``, ``leases/<task_id>.lock`` (attempt 0)
 and ``leases/<task_id>.<n>.lock`` (attempt n), ``done/<task_id>.json``,
 ``failed/<task_id>.json``.  All coordination uses atomic filesystem
 operations, so the queue is safe across worker processes on a shared
-filesystem:
+filesystem.  Every queue file has one writer:
 
+* ``enqueue`` writes a task's pending record once, to a temp name renamed
+  into place, and nothing rewrites it;
 * every attempt of a task is one exclusive create of that attempt's lock,
   an empty file whose mtime is its claim time; a claimant that finds a
   lock older than its own ``ttl`` moves on to the next attempt's lock.  A
   task's locks stay until it leaves pending/, so no attempt is granted
   twice and the attempt count lives only in the lock's name;
-* completions publish via ``os.link`` onto the done path, which fails if
-  a record already exists, making completion exactly-once per task;
-* task files are written to a temp name and renamed into place.
+* only the holder of an attempt writes into its lock: the translations
+  kept through a transient error, and at the end the task's done or
+  failed record.  A holder whose lock is gone has lost the task to a
+  peer, and publishes nothing;
+* a done or failed record is published by ``os.link``-ing the lock onto
+  its path; the link onto done/ fails if a record already exists, making
+  completion exactly-once per task.
 
 A task is tried at most ``max_attempts`` times, counting transient backend
 errors and lease takeovers; a retry after a transient error is the task's
-next attempt, and its pending record keeps the units translated so far.
+next attempt, and it reads the task from the newest earlier lock that
+holds a task record, so it keeps the units translated so far.
 
 A draining worker lists pending/ once per pass and claims the listed
 tasks in directory order, not sorted order, so a drain's cost per task
@@ -28,8 +35,8 @@ source text fits in the caller's character budget (``pack_batches``).
 Task ids are content hashes of the translator id and the batch's units
 JSON, so re-enqueueing the same units is a no-op; that JSON is joined from
 the units' own JSON texts and the pending record is written around it.  A
-claimed task keeps the unit dicts decoded from its pending record, and its
-done record adds the translation fields to those dicts.  Only this module
+claimed task keeps the unit dicts decoded from its record, and its done
+record adds the translation fields to those dicts.  Only this module
 builds queue paths and reads queue records.
 """
 
@@ -71,7 +78,7 @@ class Task:
     """A batch of units for one translator.  ``attempt`` is the number of the
     lock a claimed task holds.  ``unit_dicts`` are the units as
     ``unit_to_dict`` gives them; a claimed task keeps the dicts it decoded
-    from its pending record, other tasks build them on first use."""
+    from its record, other tasks build them on first use."""
     __slots__ = ("task_id", "translator_id", "attempt", "units", "_unit_dicts")
 
     def __init__(self, task_id: str, translator_id: str, attempt: int,
@@ -104,33 +111,16 @@ def init_queue(queue_dir: Union[str, Path]) -> None:
         path.mkdir(parents=True, exist_ok=True)
 
 
-def _write_temp(path: Path, text: str) -> Path:
-    """Write *text* to a fresh temp name beside *path* and return that name;
-    a write that fails leaves no temp file behind."""
+def _atomic_write_json(path: Path, text: str) -> None:
+    """Write the JSON *text* to *path* through a temp name and a rename; a
+    write that fails leaves no temp file behind."""
     tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
     try:
         tmp.write_text(text, encoding="utf-8")
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return tmp
-
-
-def _atomic_write_json(path: Path, text: str) -> None:
-    """Write the JSON *text* to *path* through a temp name and a rename."""
-    os.rename(_write_temp(path, text), path)
-
-
-def _exclusive_publish_json(path: Path, obj: dict) -> bool:
-    """Atomically create *path* with *obj*; False if it already exists."""
-    tmp = _write_temp(path, json_text(obj))
-    try:
-        os.link(tmp, path)
-        return True
-    except FileExistsError:
-        return False
-    finally:
-        tmp.unlink(missing_ok=True)
+    os.rename(tmp, path)
 
 
 def _task_to_dict(task: Task) -> dict:
@@ -142,7 +132,10 @@ def _task_to_dict(task: Task) -> dict:
     }
 
 
-def _task_from_dict(obj: Mapping, attempt: int) -> Task:
+def _task_from_json(data: bytes, attempt: int) -> Task:
+    """The task of a pending record, or of a record kept in a lock; raises
+    ValueError, LookupError or TypeError for anything else."""
+    obj = json.loads(data.decode("utf-8"))
     return Task(
         task_id=obj["task_id"],
         translator_id=obj["translator_id"],
@@ -277,10 +270,28 @@ def _lock_path(leases: Path, task_id: str, attempt: int) -> Path:
     return leases / (f"{task_id}.{attempt}.lock" if attempt else f"{task_id}.lock")
 
 
-def _unlock(dirs: dict[str, Path], task_id: str, held: int = 0) -> None:
-    """Remove the locks of a task that has left pending/: those of attempts
+def _write_lock(lock: Path, text: str, stamp: Optional[float] = None) -> None:
+    """Write *text* into the held *lock*, setting its mtime to *stamp*, or
+    keeping its mtime when *stamp* is None.  FileNotFoundError means the
+    lock is gone, so its holder has lost the task.  A text that cannot be
+    encoded leaves the lock as it was."""
+    data = text.encode("utf-8")
+    with open(lock, "r+b") as fh:
+        mtime_ns = os.fstat(fh.fileno()).st_mtime_ns
+        fh.truncate()
+        fh.write(data)
+        fh.flush()
+        if stamp is None:
+            os.utime(fh.fileno(), ns=(mtime_ns, mtime_ns))
+        else:
+            os.utime(fh.fileno(), (stamp, stamp))
+
+
+def _clear(dirs: dict[str, Path], task_id: str, held: int = 0) -> None:
+    """Take a task out of pending/, then remove its locks: those of attempts
     0 to *held*, which a peer's cleanup may have removed already, and those
     after it up to the first one missing."""
+    (dirs["pending"] / f"{task_id}.json").unlink(missing_ok=True)
     for attempt in count():
         try:
             _lock_path(dirs["leases"], task_id, attempt).unlink()
@@ -289,29 +300,78 @@ def _unlock(dirs: dict[str, Path], task_id: str, held: int = 0) -> None:
                 return
 
 
+def _publish(dirs: dict[str, Path], state: str, task_id: str, attempt: int,
+             record: dict) -> bool:
+    """Write *record* into the lock of *attempt*, link the lock onto the
+    task's record in *state*/ ("done" or "failed"), and clear the task.
+
+    A done record is published once: False (with a warning) when one
+    exists.  A failed record replaces that of an earlier failure.  False
+    (with a warning) too when the lock is gone, for a peer took the task
+    over."""
+    lock = _lock_path(dirs["leases"], task_id, attempt)
+    path = dirs[state] / f"{task_id}.json"
+    try:
+        _write_lock(lock, json_text(record))
+        if state == "failed":
+            path.unlink(missing_ok=True)
+        os.link(lock, path)
+    except FileNotFoundError:
+        logger.warning("task %s was taken over by a peer; discarding duplicate from %s",
+                       task_id, record["worker_id"])
+        return False
+    except FileExistsError:
+        logger.warning("task %s already %s; discarding duplicate from %s",
+                       task_id, state, record["worker_id"])
+        published = False
+    else:
+        published = True
+        if state == "failed":
+            logger.error("task %s failed: %s", task_id, record["reason"])
+    _clear(dirs, task_id, attempt)
+    return published
+
+
+def _check_ttl(ttl: float) -> None:
+    if not ttl > 0:  # NaN too
+        raise ValueError(f"ttl must be positive, not {ttl!r}")
+
+
 def _claim(dirs: dict[str, Path], task_id: str, ttl: float,
-           now: Callable[[], float], attempt: int = 0) -> Optional[Task]:
+           now: Callable[[], float], worker_id: str, attempt: int = 0) -> Optional[Task]:
     """Lease one task by id at its first free attempt from *attempt* on, or
     None when it is done, held or gone.
 
     An attempt whose lock has expired is passed over; the first attempt
     without a lock is leased by creating that lock exclusively, so no
-    attempt is granted twice.  The task is then read from pending/."""
-    pending_path = dirs["pending"] / f"{task_id}.json"
+    attempt is granted twice.  While pending/ still holds the task, it is
+    read from the newest earlier lock that holds a task record, or else
+    from pending/.  A pending record that is no task fails the task."""
     if (dirs["done"] / f"{task_id}.json").exists():
         # Completed by a worker that died before tidying up.
-        pending_path.unlink(missing_ok=True)
-        _unlock(dirs, task_id)
+        _clear(dirs, task_id)
         return None
     while not _try_lock(lock := _lock_path(dirs["leases"], task_id, attempt), now()):
         if not _expired(lock, ttl, now):
             return None
         attempt += 1
     try:
-        return _task_from_dict(json.loads(pending_path.read_text(encoding="utf-8")), attempt)
-    except (OSError, json.JSONDecodeError):
-        # Gone from pending/ since the done check, or unreadable; back off.
+        pending = (dirs["pending"] / f"{task_id}.json").read_bytes()
+    except FileNotFoundError:  # gone from pending/ since the done check; back off
         lock.unlink(missing_ok=True)
+        return None
+    for earlier in range(attempt - 1, -1, -1):
+        try:
+            return _task_from_json(_lock_path(dirs["leases"], task_id, earlier).read_bytes(),
+                                   attempt)
+        except (OSError, ValueError, LookupError, TypeError):
+            pass  # an empty lock, a torn write, or an earlier version's lease JSON
+    try:
+        return _task_from_json(pending, attempt)
+    except (ValueError, LookupError, TypeError) as exc:
+        _publish(dirs, "failed", task_id, attempt, {
+            "task_id": task_id, "attempt": attempt, "worker_id": worker_id,
+            "reason": f"unreadable pending/ record: {exc!r}"})
         return None
 
 
@@ -323,10 +383,11 @@ def acquire(queue_dir: Union[str, Path], worker_id: str,
     Reads pending/ in directory order and returns the first task that can
     be leased, without listing the rest.  A task whose lease has expired
     is taken over at its next attempt (see ``_claim``)."""
+    _check_ttl(ttl)
     dirs = _dirs(queue_dir)
     with closing(_pending_ids(dirs["pending"])) as task_ids:
         for task_id in task_ids:
-            task = _claim(dirs, task_id, ttl, now)
+            task = _claim(dirs, task_id, ttl, now, worker_id)
             if task is not None:
                 return task
     return None
@@ -334,16 +395,16 @@ def acquire(queue_dir: Union[str, Path], worker_id: str,
 
 def complete(queue_dir: Union[str, Path], task: Task, worker_id: str,
              results: Mapping[UnitKey, str]) -> bool:
-    """Publish a task's translations to done/ exactly once.
+    """Publish a task's translations to done/ exactly once: write the done
+    record into the task's lock and link the lock onto the done path.
 
     Returns False (with a warning) when another worker already completed
-    the task; raises ResultIncompleteError when results are partial, in
-    which case the lease is kept."""
+    the task or the lock is gone; raises ResultIncompleteError when
+    results are partial, in which case the lease is kept."""
     keys = task.unit_refs
     missing = [key for key in keys if key not in results]
     if missing:
         raise ResultIncompleteError(missing)
-    dirs = _dirs(queue_dir)
     translator_id = task.translator_id
     units = [dict(obj, translated_text=results[key], translator_id=translator_id)
              for obj, key in zip(task.unit_dicts, keys)]
@@ -354,27 +415,17 @@ def complete(queue_dir: Union[str, Path], task: Task, worker_id: str,
         "attempt": task.attempt,
         "units": units,
     }
-    done_path = dirs["done"] / f"{task.task_id}.json"
-    published = _exclusive_publish_json(done_path, record)
-    if not published:
-        logger.warning("task %s already completed; discarding duplicate from %s",
-                       task.task_id, worker_id)
-    (dirs["pending"] / f"{task.task_id}.json").unlink(missing_ok=True)
-    _unlock(dirs, task.task_id, task.attempt)
-    return published
+    return _publish(_dirs(queue_dir), "done", task.task_id, task.attempt, record)
 
 
 def fail_task(queue_dir: Union[str, Path], task: Task, worker_id: str,
-              reason: str) -> None:
+              reason: str) -> bool:
     """Move a poison task to failed/ with diagnostics; a record left by an
     earlier failure of the same task is replaced, so it holds the latest
-    reason."""
-    dirs = _dirs(queue_dir)
+    reason.  False when the task's lock is gone, for a peer took it over."""
     record = dict(_task_to_dict(task), attempt=task.attempt, worker_id=worker_id,
                   reason=reason)
-    _atomic_write_json(dirs["failed"] / f"{task.task_id}.json", json_text(record))
-    (dirs["pending"] / f"{task.task_id}.json").unlink(missing_ok=True)
-    _unlock(dirs, task.task_id, task.attempt)
+    return _publish(_dirs(queue_dir), "failed", task.task_id, task.attempt, record)
 
 
 def done_unit_dicts(queue_dir: Union[str, Path],
@@ -408,6 +459,7 @@ def queue_status(queue_dir: Union[str, Path], ttl: float = DEFAULT_TTL_SECONDS,
                  now: Callable[[], float] = time.time) -> dict[str, int]:
     """Task counts per state; a task is leased while one of its locks is
     younger than *ttl*."""
+    _check_ttl(ttl)
     dirs = _dirs(queue_dir)
     records = (lambda p: sum(1 for _ in p.glob("*.json")))  # none if p is missing
     leased = {lock.name.split(".", 1)[0] for lock in dirs["leases"].glob("*.lock")
@@ -442,13 +494,14 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
     A task is tried at most ``max_attempts`` times, counting transient
     errors and takeovers of leases, which expire ``ttl`` after their lock's
     mtime.  On a ``BackendError`` that is not a ``PermanentBackendError``
-    the worker rewrites pending/ with the translations so far, sleeps
-    0.25 s * 2^attempt, and claims the task's next attempt from pending/ by
-    creating that attempt's lock; it then re-sends only the untranslated
-    units.  If the lock exists or the task has left pending/, a peer took
-    the task over, and the worker drops it with no further call.  At
-    ``max_attempts``, or on any other exception, the task moves to
-    failed/."""
+    the worker writes the task with the translations so far into the lock
+    it holds, stamped with its own ``now``, sleeps 0.25 s * 2^attempt, and
+    claims the task's next attempt by creating that attempt's lock; it
+    then re-sends only the untranslated units.  If either lock is gone or
+    held, or the task has left pending/, a peer took the task over, and
+    the worker drops it with no further call.  At ``max_attempts``, or on
+    any other exception, the task moves to failed/."""
+    _check_ttl(ttl)
     processed = 0
     dirs = _dirs(queue_dir)
     wait = 0.0  # sleep before the next pass; 0 after a pass that claimed
@@ -460,7 +513,7 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
             sleep(wait)
         wait = min(2 * wait, poll_interval) or poll_interval / 64
         for task_id in task_ids:
-            task = _claim(dirs, task_id, ttl, now)
+            task = _claim(dirs, task_id, ttl, now, worker_id)
             if task is None:
                 continue
             wait = 0.0
@@ -479,14 +532,18 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
                     if (not isinstance(exc, BackendError)
                             or isinstance(exc, PermanentBackendError)):
                         break
-                    _atomic_write_json(dirs["pending"] / f"{task_id}.json",
-                                       _task_json(task, json_text(task.unit_dicts)))
+                    try:
+                        _write_lock(_lock_path(dirs["leases"], task_id, task.attempt),
+                                    _task_json(task, json_text(task.unit_dicts)), now())
+                    except FileNotFoundError:
+                        task = None
+                        break
                     if task.attempt + 1 < max_attempts:
                         delay = 0.25 * 2 ** task.attempt
                         logger.warning("task %s attempt %d failed, retrying in %.2fs: %s",
                                        task_id, task.attempt + 1, delay, exc)
                         sleep(delay)
-                    task = _claim(dirs, task_id, ttl, now, task.attempt + 1)
+                    task = _claim(dirs, task_id, ttl, now, worker_id, task.attempt + 1)
                     continue
                 reason = None
                 if complete(queue_dir, task, worker_id, results):
@@ -496,4 +553,3 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
                 logger.warning("task %s was taken over by a peer; dropping it", task_id)
             elif reason is not None:
                 fail_task(queue_dir, task, worker_id, reason)
-                logger.error("task %s failed: %s", task_id, reason)

@@ -165,6 +165,14 @@ def _queue_units(n):
             for i in range(n)]
 
 
+def _kill_live(procs):
+    """Kill and reap every started process that is still running."""
+    for p in procs:
+        if p.pid is not None and p.exitcode is None:
+            p.kill()
+            p.join()
+
+
 def test_criterion_6_queue_exactly_once_under_faults(tmp_path):
     start = time.monotonic()
 
@@ -176,18 +184,22 @@ def test_criterion_6_queue_exactly_once_under_faults(tmp_path):
     workers = [multiprocessing.Process(
         target=helpers.slow_worker, args=(str(kill_queue), f"w{i}", 1.0, 0.01))
         for i in range(4)]
-    for p in workers:
-        p.start()
-    for victim in rng.sample(workers, 2):
-        time.sleep(rng.uniform(0.1, 0.3))
-        victim.kill()
     replacements = [multiprocessing.Process(
         target=helpers.slow_worker, args=(str(kill_queue), f"r{i}", 1.0, 0.01))
         for i in range(2)]
-    for p in replacements:
-        p.start()
-    for p in workers + replacements:
-        p.join(timeout=90)
+    try:
+        for p in workers:
+            p.start()
+        for victim in rng.sample(workers, 2):
+            time.sleep(rng.uniform(0.1, 0.3))
+            victim.kill()
+        for p in replacements:
+            p.start()
+        for p in workers + replacements:
+            p.join(timeout=90)
+            assert p.exitcode is not None, f"{p.name} still running after 90 s"
+    finally:
+        _kill_live(workers + replacements)
     status = queue_status(kill_queue)
     assert status["pending"] == 0 and status["failed"] == 0
     assert status["done"] == 100
@@ -203,11 +215,14 @@ def test_criterion_6_queue_exactly_once_under_faults(tmp_path):
         target=helpers.race_claim_and_complete,
         args=(str(race_queue), f"racer{i}", str(claim_paths[i]), barrier))
         for i in range(4)]
-    for p in racers:
-        p.start()
-    for p in racers:
-        p.join(timeout=90)
-        assert p.exitcode == 0
+    try:
+        for p in racers:
+            p.start()
+        for p in racers:
+            p.join(timeout=90)
+            assert p.exitcode == 0
+    finally:
+        _kill_live(racers)
     claims = []
     for path in claim_paths:
         claims.extend(json.loads(path.read_text()))

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -16,10 +17,9 @@ from tarjama.chunking import plan_chunks
 from tarjama.cli import main
 from tarjama.corpus import TranslationUnit, unit_to_dict, write_units
 from tarjama.tokenizers import TokenizerSpec, count_tokens
-from tarjama.workqueue import (ResultIncompleteError, _atomic_write_json,
-                               _exclusive_publish_json, _task_to_dict, acquire,
-                               complete, enqueue, fail_task, init_queue,
-                               pack_batches, queue_status, worker_loop)
+from tarjama.workqueue import (ResultIncompleteError, _atomic_write_json, _task_to_dict,
+                               _write_lock, acquire, complete, enqueue, fail_task,
+                               init_queue, pack_batches, queue_status, worker_loop)
 
 
 def make_units(n, conv="c", texts=None):
@@ -237,9 +237,14 @@ def test_done_record_adds_translation_fields_to_each_unit(tmp_path):
 def test_failed_writes_leave_no_temp_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         _atomic_write_json(tmp_path / "a.json", '"\ud800"')
-    with pytest.raises(UnicodeEncodeError):
-        _exclusive_publish_json(tmp_path / "b.json", {"text": "\ud800"})
     assert list(tmp_path.iterdir()) == []
+    lock = tmp_path / "b.lock"  # a held lock is left as it was
+    lock.write_bytes(b"kept")
+    os.utime(lock, (1000.0, 1000.0))
+    with pytest.raises(UnicodeEncodeError):
+        _write_lock(lock, '"\ud800"', 2000.0)
+    assert lock.read_bytes() == b"kept" and lock.stat().st_mtime == 1000.0
+    assert list(tmp_path.iterdir()) == [lock]
 
 
 def test_translation_with_lone_surrogate_fails_its_task(tmp_path):
@@ -383,26 +388,33 @@ def test_a_retry_sends_only_the_untranslated_units(tmp_path):
     assert done_units(tmp_path / "q") == done_units(tmp_path / "clean")
 
 
-def test_a_transient_error_keeps_the_lease_and_rewrites_pending(tmp_path):
+def test_a_transient_error_keeps_the_lease_and_writes_the_kept_task_into_it(tmp_path):
+    clock = FakeClock()
     (task,) = enqueue(tmp_path, make_units(3, texts=ODD_TEXTS), "seed", batch_size=3)
+    enqueued = _pending_text(tmp_path, task)
     leases = tmp_path / "leases"
+    held = [f"{task.task_id}.lock", f"{task.task_id}.1.lock"]
     seen = []
 
     def sleep(seconds):  # the worker is between two tries of the task
         locks = sorted(p.name for p in leases.iterdir())
-        seen.append((seconds, locks, json.loads(_pending_text(tmp_path, task))))
+        lock = leases / held[len(seen)]  # the lock of the attempt that failed
+        seen.append((seconds, locks, _pending_text(tmp_path, task),
+                     json.loads(lock.read_text(encoding="utf-8")), lock.stat().st_mtime))
+        clock.advance(seconds)
 
     table = FailingTable(failures=2, after=1)
     backend = TranslatorBackend(id="seed", kind="mock-table", table=table)
-    assert worker_loop(tmp_path, backend, "w1", ttl=60, sleep=sleep) == 1
+    assert worker_loop(tmp_path, backend, "w1", ttl=60, now=clock, sleep=sleep) == 1
     assert table.calls == 5  # unit 0, two failures of unit 1, then units 1 and 2
     kept = [dict(unit_to_dict(u), translated_text=u.source_text) for u in task.units]
     # The attempt that failed holds its lock, and the next one is not made yet.
-    held = [f"{task.task_id}.lock", f"{task.task_id}.1.lock"]
-    for attempt, (seconds, locks, pending) in enumerate(seen, start=1):
+    for attempt, (seconds, locks, pending, record, mtime) in enumerate(seen, start=1):
         assert seconds == 0.25 * 2 ** (attempt - 1)
         assert locks == sorted(held[:attempt])
-        assert pending == dict(_task_to_dict(task), units=kept[:1] + task.unit_dicts[1:])
+        assert pending == enqueued  # pending/ is written once, by enqueue
+        assert record == dict(_task_to_dict(task), units=kept[:1] + task.unit_dicts[1:])
+        assert mtime == 1000.0 + 0.25 * (attempt - 1)  # stamped by the holder's clock
     assert len(seen) == 2
 
 
@@ -447,10 +459,10 @@ def test_a_peer_that_takes_over_during_a_back_off_keeps_the_task(tmp_path):
 
 
 def test_no_lock_is_left_when_a_peer_cleared_the_earlier_ones(tmp_path):
-    # A peer fails the task while this worker's call outlives its lease, so
-    # the lock this worker takes next lies above the ones the peer removed.
+    # A peer fails the task for good while this worker's call outlives its
+    # lease, and then the call raises a transient error.
     clock = FakeClock()
-    enqueue(tmp_path, make_units(1), "seed", batch_size=1)
+    (task,) = enqueue(tmp_path, make_units(1), "seed", batch_size=1)
     peer = TranslatorBackend(id="seed", kind="mock-table",
                              table=FailingTable(failures=1, error=BudgetExceededError))
 
@@ -461,11 +473,149 @@ def test_no_lock_is_left_when_a_peer_cleared_the_earlier_ones(tmp_path):
                 worker_loop(tmp_path, peer, "peer", ttl=60, now=clock)
             return super().get(key, default)
 
-    backend = TranslatorBackend(id="seed", kind="mock-table",
-                                table=OutlivesItsLease(failures=1))
-    worker_loop(tmp_path, backend, "w1", ttl=60, now=clock, sleep=lambda s: None)
+    table = OutlivesItsLease(failures=1)
+    backend = TranslatorBackend(id="seed", kind="mock-table", table=table)
+    assert worker_loop(tmp_path, backend, "w1", ttl=60, now=clock, sleep=lambda s: None) == 0
+    assert table.calls == 1  # no second call for a task the peer has failed
+    record = json.loads((tmp_path / "failed" / f"{task.task_id}.json").read_text())
+    assert record["worker_id"] == "peer" and record["attempt"] == 1
+    assert list((tmp_path / "done").iterdir()) == []
     assert list((tmp_path / "leases").iterdir()) == []
     assert list((tmp_path / "pending").iterdir()) == []
+
+
+class Crash(BaseException):
+    """A worker stopping dead at one step of a completion."""
+
+
+def _crash_at(monkeypatch, name, parent):
+    """Make the first ``os.<name>`` onto a path in *parent*/ raise Crash."""
+    real = getattr(os, name)
+
+    def crashing(*args, **kwargs):
+        if Path(args[-1]).parent.name == parent:
+            monkeypatch.undo()
+            raise Crash
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(os, name, crashing)
+
+
+def test_a_takeover_publishes_a_done_record_left_unlinked_in_its_lock(tmp_path, monkeypatch):
+    clock = FakeClock()
+    (task,) = enqueue(tmp_path, make_units(3), "seed", batch_size=3)
+    held = acquire(tmp_path, "w1", ttl=60, now=clock)
+    results = {u.key: u.source_text.upper() for u in held.units}
+    _crash_at(monkeypatch, "link", "done")  # after the record is in the lock
+    with pytest.raises(Crash):
+        complete(tmp_path, held, "w1", results)
+    assert list((tmp_path / "done").iterdir()) == []
+    clock.advance(61)
+    table = FailingTable(failures=0)
+    backend = TranslatorBackend(id="seed", kind="mock-table", table=table)
+    assert worker_loop(tmp_path, backend, "w2", ttl=60, now=clock) == 1
+    assert table.calls == 0
+    (done,) = (tmp_path / "done").iterdir()
+    record = {"task_id": task.task_id, "translator_id": "seed", "worker_id": "w2",
+              "attempt": 1,
+              "units": [dict(unit_to_dict(u), translated_text=results[u.key],
+                             translator_id="seed") for u in task.units]}
+    assert done.read_text(encoding="utf-8") == json.dumps(record, ensure_ascii=False)
+    assert list((tmp_path / "pending").iterdir()) == []
+    assert list((tmp_path / "leases").iterdir()) == []
+
+
+def test_the_next_claim_tidies_up_after_a_holder_that_stopped_after_the_link(
+        tmp_path, monkeypatch):
+    clock = FakeClock()
+    (task,) = enqueue(tmp_path, make_units(2), "seed", batch_size=2)
+    held = acquire(tmp_path, "w1", ttl=60, now=clock)
+    _crash_at(monkeypatch, "unlink", "pending")  # after the link, before the cleanup
+    with pytest.raises(Crash):
+        complete(tmp_path, held, "w1", {u.key: "x" for u in held.units})
+    table = FailingTable(failures=0)
+    backend = TranslatorBackend(id="seed", kind="mock-table", table=table)
+    assert worker_loop(tmp_path, backend, "w2", ttl=60, now=clock) == 0
+    assert table.calls == 0
+    record = json.loads((tmp_path / "done" / f"{task.task_id}.json").read_text())
+    assert record["worker_id"] == "w1"
+    assert list((tmp_path / "pending").iterdir()) == []
+    assert list((tmp_path / "leases").iterdir()) == []
+
+
+def test_no_attempt_is_granted_twice_after_a_holder_stopped_after_failing(
+        tmp_path, monkeypatch):
+    clock = FakeClock()
+    (task,) = enqueue(tmp_path, make_units(1), "seed", batch_size=1)
+    held = acquire(tmp_path, "w1", ttl=60, now=clock)
+    _crash_at(monkeypatch, "unlink", "pending")  # after failed/, before the cleanup
+    with pytest.raises(Crash):
+        fail_task(tmp_path, held, "w1", "poison")
+    assert json.loads((tmp_path / "failed" / f"{task.task_id}.json").read_text())[
+        "reason"] == "poison"
+    # The task is still pending, so it is retried at its next attempt, once.
+    assert acquire(tmp_path, "w2", ttl=60, now=clock) is None
+    clock.advance(61)
+    claims = [acquire(tmp_path, f"w{i}", ttl=60, now=clock) for i in range(3, 6)]
+    assert [c.attempt for c in claims if c is not None] == [1]
+    assert sorted(p.name for p in (tmp_path / "leases").iterdir()) == [
+        f"{task.task_id}.1.lock", f"{task.task_id}.lock"]
+
+
+@pytest.mark.parametrize("text", [b"{not json", b"\xff", b"[1, 2]", b'{"task_id": "x"}',
+                                  b'{"task_id": "x", "translator_id": "t", "units": [{}]}'])
+def test_an_unreadable_pending_record_fails_its_task(tmp_path, text):
+    (task,) = enqueue(tmp_path, make_units(1), "seed", batch_size=1)
+    (tmp_path / "pending" / f"{task.task_id}.json").write_bytes(text)
+    sleeps = []
+
+    def sleep(seconds):
+        sleeps.append(seconds)
+        assert len(sleeps) < 20, "the worker polls an unreadable task forever"
+
+    backend = TranslatorBackend(id="seed", kind="mock-identity")
+    assert worker_loop(tmp_path, backend, "w1", ttl=60, sleep=sleep) == 0
+    record = json.loads((tmp_path / "failed" / f"{task.task_id}.json").read_text())
+    assert record["worker_id"] == "w1" and record["attempt"] == 0
+    assert record["reason"].startswith("unreadable pending/ record: ")
+    assert queue_status(tmp_path) == {"pending": 0, "leased": 0, "done": 0, "failed": 1}
+    assert list((tmp_path / "leases").iterdir()) == []
+
+
+@pytest.mark.parametrize("ttl", [-1, 0, float("nan")])
+def test_a_ttl_that_is_not_positive_is_refused(tmp_path, ttl):
+    (task,) = enqueue(tmp_path, make_units(1), "seed", batch_size=1)
+    backend = TranslatorBackend(id="seed", kind="mock-identity")
+    for call in (lambda: acquire(tmp_path, "w1", ttl=ttl),
+                 lambda: acquire(tmp_path, "w2", ttl=ttl),
+                 lambda: worker_loop(tmp_path, backend, "w3", ttl=ttl),
+                 lambda: queue_status(tmp_path, ttl=ttl)):
+        with pytest.raises(ValueError, match="ttl must be positive"):
+            call()
+    assert list((tmp_path / "leases").iterdir()) == []  # no attempt was granted
+
+
+def test_a_completed_task_costs_two_file_creates(tmp_path, monkeypatch):
+    created = []
+    real_io_open, real_os_open = io.open, os.open
+
+    def io_open(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wxa"):
+            created.append(Path(file).parent.name)
+        return real_io_open(file, mode, *args, **kwargs)
+
+    def os_open(path, flags, *args, **kwargs):
+        if flags & os.O_CREAT:
+            created.append(Path(path).parent.name)
+        return real_os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", io_open)
+    monkeypatch.setattr(os, "open", os_open)
+    enqueue(tmp_path, make_units(3), "seed", batch_size=3)
+    backend = TranslatorBackend(id="seed", kind="mock-identity")
+    assert worker_loop(tmp_path, backend, "w1", ttl=60) == 1
+    assert sorted(created) == ["leases", "pending"]  # the pending record and the lock
+    assert queue_status(tmp_path)["done"] == 1
 
 
 def test_a_takeover_is_granted_once_to_three_claimants(tmp_path, monkeypatch):
@@ -541,7 +691,7 @@ def test_short_units_pack_into_few_task_records(tmp_path, monkeypatch, rng):
         created.append(Path(dst).parent.name)
         return real_rename(src, dst)
 
-    def link(src, dst):  # a done/ record is a temp file linked in place
+    def link(src, dst):  # a done/ record is the task's lock linked in place
         created.append(Path(dst).parent.name)
         return real_link(src, dst)
 
