@@ -5,7 +5,7 @@ Usage::
 
     python3 scripts/bench_pairs.py BASE_CHECKOUT CHANGE_CHECKOUT \\
         --workload many-short [--workload long-think ...] --pairs 10 \\
-        --seconds 35 [--seed 1]
+        --seconds 35 [--seed 1] [--json BENCH.json]
 
 For each ``--workload`` in turn, each pair runs ``perfbench/run.py`` once
 in each checkout, one after the other; the base goes first in even pairs
@@ -20,12 +20,18 @@ quartiles.  The metrics and which way is better come from the change's
 tarjama processes per iteration, their median per run is compared the
 same way as ``cpu_s``, lower being better: the host's CPU speed moves
 between identical runs, which ``wall_s`` alone cannot tell from a change.
+With ``--json PATH`` the script also writes what it prints to PATH: both
+checkouts' commits, the settings, every run's metrics and ``sha256`` lines
+in pair order, each workload's summary rows, and the Python version and
+CPU count of the host.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -39,7 +45,7 @@ CPU_METRIC = {"name": "cpu_s", "better": "lower"}
 def parse_run(stdout: str) -> dict:
     """The result object that perfbench prints as its last stdout line, with
     the median of its ``CPU_LINE`` values added to its metrics as ``cpu_s``
-    when it printed that line."""
+    when it printed that line, and its ``sha256`` lines as ``sha256``."""
     lines = stdout.strip().splitlines()
     if not lines:
         raise ValueError("perfbench printed nothing")
@@ -48,6 +54,7 @@ def parse_run(stdout: str) -> dict:
         if line.startswith(CPU_LINE):
             cpu = [float(v) for v in line[len(CPU_LINE):].split()]
             result["metrics"]["cpu_s"] = {"value": statistics.median(cpu), "unit": "s"}
+    result["sha256"] = [line for line in lines if line.startswith("sha256 ")]
     return result
 
 
@@ -110,6 +117,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return parse_run(proc.stdout)
 
 
+def _commit(checkout: Path) -> str:
+    """The checkout's commit, with ``-dirty`` when its tracked files differ."""
+    proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                          cwd=checkout, capture_output=True, text=True)
+    return proc.stdout.strip() or "unknown"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path)
@@ -119,13 +133,18 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=35)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--json", type=Path, help="also write the runs and summaries here")
     args = parser.parse_args()
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = spec["end_to_end"]
     correct = True
+    report = {"base": _commit(args.base), "change": _commit(args.change), "seed": args.seed,
+              "seconds": args.seconds, "pairs": args.pairs, "python": platform.python_version(),
+              "cpu_count": os.cpu_count(), "workloads": {}}
     for workload in args.workload:
         pairs = []
+        runs = report["workloads"].setdefault(workload, {"runs": []})["runs"]
         for n in range(args.pairs):
             sides = [("base", args.base), ("change", args.change)]
             result = {}
@@ -135,10 +154,18 @@ def main() -> int:
                                   for name, m in result[side]["metrics"].items())
                 print(f"{workload} pair {n} {side:<6} {values} "
                       f"correct={result[side]['correct']}", flush=True)
+                runs.append({"pair": n, "side": side, "correct": result[side]["correct"],
+                             "metrics": {name: m["value"]
+                                         for name, m in result[side]["metrics"].items()},
+                             "sha256": result[side]["sha256"]})
             pairs.append((result["base"], result["change"]))
+        rows = summarize(pairs, metrics)
+        report["workloads"][workload]["summary"] = rows
         print(f"{workload} summary, seed {args.seed}:")
-        print(format_summary(summarize(pairs, metrics)), flush=True)
+        print(format_summary(rows), flush=True)
         correct = correct and all(b["correct"] and c["correct"] for b, c in pairs)
+    if args.json:
+        args.json.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0 if correct else 1
 
 

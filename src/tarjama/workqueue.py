@@ -18,17 +18,10 @@ filesystem.  Every queue file has one writer:
   failed record.  A holder whose lock is gone has lost the task to a
   peer, and publishes nothing;
 * a done or failed record is published by ``os.link``-ing the lock onto
-  its path; the link onto done/ fails if a record already exists, making
-  completion exactly-once per task.
-
-A task is tried at most ``max_attempts`` times, counting transient backend
-errors and lease takeovers; a retry after a transient error is the task's
-next attempt, and it reads the task from the newest earlier lock that
-holds a task record, so it keeps the units translated so far.
-
-A draining worker lists pending/ once per pass and claims the listed
-tasks in directory order, not sorted order, so a drain's cost per task
-does not grow with the queue's depth.
+  its path; the link onto done/ fails if a record already exists;
+* a lock linked onto done/ or failed/ ends its task: a claimant that
+  cannot create that lock, or another holder about to publish, clears the
+  task instead, so each task gets one outcome.
 
 A task holds at least ``batch_size`` units, and more only while their
 source text fits in the caller's character budget (``pack_batches``).
@@ -64,11 +57,7 @@ DEFAULT_MAX_ATTEMPTS = 6
 UnitKey = tuple[str, int, int, int]
 
 
-class QueueError(Exception):
-    pass
-
-
-class ResultIncompleteError(QueueError):
+class ResultIncompleteError(Exception):
     def __init__(self, missing: Sequence[UnitKey]):
         self.missing = list(missing)
         super().__init__(f"results missing for units: {self.missing}")
@@ -96,10 +85,6 @@ class Task:
             self._unit_dicts = [unit_to_dict(u) for u in self.units]
         return self._unit_dicts
 
-    @property
-    def unit_refs(self) -> list[UnitKey]:
-        return [u.key for u in self.units]
-
 
 def _dirs(queue_dir: Union[str, Path]) -> dict[str, Path]:
     base = Path(queue_dir)
@@ -125,24 +110,16 @@ def _atomic_write_json(path: Path, text: str) -> None:
 
 def _task_to_dict(task: Task) -> dict:
     """A task's pending record; its attempt is the name of the lock it holds."""
-    return {
-        "task_id": task.task_id,
-        "translator_id": task.translator_id,
-        "units": task.unit_dicts,
-    }
+    return {"task_id": task.task_id, "translator_id": task.translator_id,
+            "units": task.unit_dicts}
 
 
 def _task_from_json(data: bytes, attempt: int) -> Task:
     """The task of a pending record, or of a record kept in a lock; raises
     ValueError, LookupError or TypeError for anything else."""
     obj = json.loads(data.decode("utf-8"))
-    return Task(
-        task_id=obj["task_id"],
-        translator_id=obj["translator_id"],
-        attempt=attempt,
-        units=[unit_from_dict(u) for u in obj["units"]],
-        unit_dicts=obj["units"],
-    )
+    return Task(obj["task_id"], obj["translator_id"], attempt,
+                [unit_from_dict(u) for u in obj["units"]], obj["units"])
 
 
 def _units_json(unit_texts: Sequence[str]) -> str:
@@ -215,18 +192,11 @@ def enqueue(queue_dir: Union[str, Path], units: Sequence[TranslationUnit],
     for batch in batches:
         units_json = _units_json(unit_texts[start:start + len(batch)])
         start += len(batch)
-        task = Task(
-            task_id=_batch_task_id(units_json, translator_id),
-            translator_id=translator_id,
-            attempt=0,
-            units=batch,
-        )
+        task = Task(_batch_task_id(units_json, translator_id), translator_id, 0, batch)
         tasks.append(task)
         pending_path = dirs["pending"] / f"{task.task_id}.json"
-        done_path = dirs["done"] / f"{task.task_id}.json"
-        if pending_path.exists() or done_path.exists():
-            continue
-        _atomic_write_json(pending_path, _task_json(task, units_json))
+        if not (pending_path.exists() or (dirs["done"] / pending_path.name).exists()):
+            _atomic_write_json(pending_path, _task_json(task, units_json))
     return tasks
 
 
@@ -249,6 +219,14 @@ def _expired(lock_path: Path, ttl: float, now: Callable[[], float]) -> bool:
         return now() > lock_path.stat().st_mtime + ttl
     except FileNotFoundError:
         return True
+
+
+def _published(lock_path: Path) -> bool:
+    """Whether a lock is linked onto a done or failed record."""
+    try:
+        return lock_path.stat().st_nlink > 1
+    except FileNotFoundError:
+        return False
 
 
 def _pending_ids(pending: Path) -> Iterator[str]:
@@ -300,34 +278,48 @@ def _clear(dirs: dict[str, Path], task_id: str, held: int = 0) -> None:
                 return
 
 
+def _ended(dirs: dict[str, Path], task_id: str, held: int) -> bool:
+    """Whether a task has its outcome, as the holder of attempt *held* sees
+    it: its pending/ record is gone, or another of its locks is linked onto
+    a record."""
+    if not (dirs["pending"] / f"{task_id}.json").exists():
+        return True
+    for attempt in count():
+        lock = _lock_path(dirs["leases"], task_id, attempt)
+        if attempt > held and not lock.exists():
+            return False
+        if attempt != held and _published(lock):
+            return True
+
+
 def _publish(dirs: dict[str, Path], state: str, task_id: str, attempt: int,
              record: dict) -> bool:
     """Write *record* into the lock of *attempt*, link the lock onto the
     task's record in *state*/ ("done" or "failed"), and clear the task.
 
-    A done record is published once: False (with a warning) when one
-    exists.  A failed record replaces that of an earlier failure.  False
-    (with a warning) too when the lock is gone, for a peer took the task
-    over."""
+    False (with a warning) when the task has ended, or its lock is gone,
+    for a peer took it over.  A failed record replaces that of an earlier
+    failure."""
     lock = _lock_path(dirs["leases"], task_id, attempt)
     path = dirs[state] / f"{task_id}.json"
     try:
-        _write_lock(lock, json_text(record))
-        if state == "failed":
-            path.unlink(missing_ok=True)
-        os.link(lock, path)
+        published = not _ended(dirs, task_id, attempt)
+        if published:
+            _write_lock(lock, json_text(record))
+            if state == "failed":
+                path.unlink(missing_ok=True)
+            os.link(lock, path)
     except FileNotFoundError:
         logger.warning("task %s was taken over by a peer; discarding duplicate from %s",
                        task_id, record["worker_id"])
         return False
     except FileExistsError:
-        logger.warning("task %s already %s; discarding duplicate from %s",
-                       task_id, state, record["worker_id"])
         published = False
-    else:
-        published = True
-        if state == "failed":
-            logger.error("task %s failed: %s", task_id, record["reason"])
+    if not published:
+        logger.warning("task %s already ended; discarding duplicate from %s",
+                       task_id, record["worker_id"])
+    elif state == "failed":
+        logger.error("task %s failed: %s", task_id, record["reason"])
     _clear(dirs, task_id, attempt)
     return published
 
@@ -340,24 +332,24 @@ def _check_ttl(ttl: float) -> None:
 def _claim(dirs: dict[str, Path], task_id: str, ttl: float,
            now: Callable[[], float], worker_id: str, attempt: int = 0) -> Optional[Task]:
     """Lease one task by id at its first free attempt from *attempt* on, or
-    None when it is done, held or gone.
+    None when it has ended, is held or is gone.
 
-    An attempt whose lock has expired is passed over; the first attempt
-    without a lock is leased by creating that lock exclusively, so no
-    attempt is granted twice.  While pending/ still holds the task, it is
-    read from the newest earlier lock that holds a task record, or else
+    An attempt whose lock has expired is passed over, and one whose lock
+    is linked onto a record ends the task, which is cleared; the first
+    attempt without a lock is leased by creating that lock exclusively, so
+    no attempt is granted twice.  While pending/ still holds the task, it
+    is read from the newest earlier lock that holds a task record, or else
     from pending/.  A pending record that is no task fails the task."""
-    if (dirs["done"] / f"{task_id}.json").exists():
-        # Completed by a worker that died before tidying up.
-        _clear(dirs, task_id)
-        return None
     while not _try_lock(lock := _lock_path(dirs["leases"], task_id, attempt), now()):
+        if _published(lock):  # its holder stopped between the link and _clear
+            _clear(dirs, task_id, attempt)
+            return None
         if not _expired(lock, ttl, now):
             return None
         attempt += 1
     try:
         pending = (dirs["pending"] / f"{task_id}.json").read_bytes()
-    except FileNotFoundError:  # gone from pending/ since the done check; back off
+    except FileNotFoundError:  # cleared since it was listed; back off
         lock.unlink(missing_ok=True)
         return None
     for earlier in range(attempt - 1, -1, -1):
@@ -401,20 +393,15 @@ def complete(queue_dir: Union[str, Path], task: Task, worker_id: str,
     Returns False (with a warning) when another worker already completed
     the task or the lock is gone; raises ResultIncompleteError when
     results are partial, in which case the lease is kept."""
-    keys = task.unit_refs
+    keys = [u.key for u in task.units]
     missing = [key for key in keys if key not in results]
     if missing:
         raise ResultIncompleteError(missing)
     translator_id = task.translator_id
     units = [dict(obj, translated_text=results[key], translator_id=translator_id)
              for obj, key in zip(task.unit_dicts, keys)]
-    record = {
-        "task_id": task.task_id,
-        "translator_id": translator_id,
-        "worker_id": worker_id,
-        "attempt": task.attempt,
-        "units": units,
-    }
+    record = {"task_id": task.task_id, "translator_id": translator_id,
+              "worker_id": worker_id, "attempt": task.attempt, "units": units}
     return _publish(_dirs(queue_dir), "done", task.task_id, task.attempt, record)
 
 
@@ -472,6 +459,44 @@ def queue_status(queue_dir: Union[str, Path], ttl: float = DEFAULT_TTL_SECONDS,
     }
 
 
+def run_attempt(queue_dir: Union[str, Path], task: Task, backend: TranslatorBackend,
+                worker_id: str, max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+                reason: Optional[str] = None, prompt_template: str = "{source}",
+                target_language: str = "Arabic",
+                now: Callable[[], float] = time.time) -> Union[bool, str]:
+    """Run the held attempt *task* to its end, sending only the units with
+    no kept translation.  True: it published the done record.  A string:
+    a transient ``BackendError``'s reason, after which the translations so
+    far are kept in the attempt's lock, stamped with ``now``, and attempt
+    ``task.attempt + 1`` is next.  False: it published a failed record, on
+    any other exception or, with *reason*, from attempt *max_attempts* on,
+    or found its lock gone."""
+    if task.attempt < max_attempts:
+        try:
+            for unit, obj in zip(task.units, task.unit_dicts):
+                if "translated_text" not in obj:  # else kept from a failed try
+                    obj["translated_text"] = translate_chunk(
+                        backend, unit, prompt_template, target_language=target_language)
+        except Exception as exc:
+            reason = f"translation failed: {exc}"
+            if isinstance(exc, BackendError) and not isinstance(exc, PermanentBackendError):
+                try:
+                    _write_lock(_lock_path(_dirs(queue_dir)["leases"], task.task_id,
+                                           task.attempt),
+                                _task_json(task, json_text(task.unit_dicts)), now())
+                except FileNotFoundError:
+                    logger.warning("task %s was taken over by a peer; dropping it",
+                                   task.task_id)
+                    return False
+                return reason
+        else:
+            return complete(queue_dir, task, worker_id, {
+                unit.key: obj["translated_text"]
+                for unit, obj in zip(task.units, task.unit_dicts)})
+    fail_task(queue_dir, task, worker_id, reason or f"exceeded {max_attempts} attempts")
+    return False
+
+
 def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
                 worker_id: str, ttl: float = DEFAULT_TTL_SECONDS,
                 max_attempts: int = DEFAULT_MAX_ATTEMPTS,
@@ -482,25 +507,17 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
                 sleep: Callable[[float], None] = time.sleep) -> int:
     """Process tasks until the queue drains; returns the completed count.
 
-    The worker lists pending/ once per pass and tries to claim each
-    listed task in directory order, not sorted order; it lists again only
-    when the pass is used up, so a drain costs one listing per pass, not
-    one per task.  It returns when a fresh listing is empty.  While other
-    workers hold the remaining leases, a pass that claimed nothing is
-    followed by a sleep that starts at ``poll_interval / 64`` and doubles
-    on each further idle pass up to ``poll_interval``; a claim resets it,
-    so a peer that finishes within milliseconds costs milliseconds.
-
-    A task is tried at most ``max_attempts`` times, counting transient
-    errors and takeovers of leases, which expire ``ttl`` after their lock's
-    mtime.  On a ``BackendError`` that is not a ``PermanentBackendError``
-    the worker writes the task with the translations so far into the lock
-    it holds, stamped with its own ``now``, sleeps 0.25 s * 2^attempt, and
-    claims the task's next attempt by creating that attempt's lock; it
-    then re-sends only the untranslated units.  If either lock is gone or
-    held, or the task has left pending/, a peer took the task over, and
-    the worker drops it with no further call.  At ``max_attempts``, or on
-    any other exception, the task moves to failed/."""
+    The worker lists pending/ once per pass and tries to claim each listed
+    task in directory order, not sorted order; it lists again only when
+    the pass is used up, so a drain's cost per task does not grow with the
+    queue's depth, and returns when a fresh listing is empty.  While peers
+    hold the remaining leases, a pass that claimed nothing is followed by
+    a sleep that starts at ``poll_interval / 64`` and doubles on each
+    further idle pass up to ``poll_interval``; a claim resets it, so a
+    peer that finishes within milliseconds costs milliseconds.  A claimed
+    attempt runs through ``run_attempt``; after a transient error the
+    worker sleeps 0.25 s * 2^attempt and claims the task's next attempt,
+    or drops the task when a peer holds that attempt or ended the task."""
     _check_ttl(ttl)
     processed = 0
     dirs = _dirs(queue_dir)
@@ -514,42 +531,21 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
         wait = min(2 * wait, poll_interval) or poll_interval / 64
         for task_id in task_ids:
             task = _claim(dirs, task_id, ttl, now, worker_id)
-            if task is None:
-                continue
-            wait = 0.0
-            reason: Optional[str] = f"exceeded {max_attempts} attempts"
-            while task is not None and task.attempt < max_attempts:
-                results = {}
-                try:
-                    for unit, obj in zip(task.units, task.unit_dicts):
-                        if "translated_text" not in obj:  # else kept from a failed try
-                            obj["translated_text"] = translate_chunk(
-                                backend, unit, prompt_template,
-                                target_language=target_language)
-                        results[unit.key] = obj["translated_text"]
-                except Exception as exc:
-                    reason = f"translation failed: {exc}"
-                    if (not isinstance(exc, BackendError)
-                            or isinstance(exc, PermanentBackendError)):
-                        break
-                    try:
-                        _write_lock(_lock_path(dirs["leases"], task_id, task.attempt),
-                                    _task_json(task, json_text(task.unit_dicts)), now())
-                    except FileNotFoundError:
-                        task = None
-                        break
-                    if task.attempt + 1 < max_attempts:
-                        delay = 0.25 * 2 ** task.attempt
-                        logger.warning("task %s attempt %d failed, retrying in %.2fs: %s",
-                                       task_id, task.attempt + 1, delay, exc)
-                        sleep(delay)
-                    task = _claim(dirs, task_id, ttl, now, worker_id, task.attempt + 1)
-                    continue
-                reason = None
-                if complete(queue_dir, task, worker_id, results):
-                    processed += 1
-                break
-            if task is None:
-                logger.warning("task %s was taken over by a peer; dropping it", task_id)
-            elif reason is not None:
-                fail_task(queue_dir, task, worker_id, reason)
+            if task is not None:
+                wait = 0.0
+            reason = None
+            while task is not None:
+                outcome = run_attempt(queue_dir, task, backend, worker_id, max_attempts,
+                                      reason, prompt_template, target_language, now)
+                if not isinstance(outcome, str):
+                    processed += outcome
+                    break
+                reason = outcome
+                if task.attempt + 1 < max_attempts:
+                    delay = 0.25 * 2 ** task.attempt
+                    logger.warning("task %s attempt %d failed, retrying in %.2fs: %s",
+                                   task_id, task.attempt + 1, delay, reason)
+                    sleep(delay)
+                task = _claim(dirs, task_id, ttl, now, worker_id, task.attempt + 1)
+                if task is None:
+                    logger.warning("task %s was taken over by a peer; dropping it", task_id)

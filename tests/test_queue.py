@@ -3,11 +3,16 @@ import io
 import json
 import multiprocessing
 import os
+import shutil
+import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, precondition, rule,
+                                 run_state_machine_as_test)
 
 from test_chunking import DENSE_PIECES, small_policies
 
@@ -17,9 +22,10 @@ from tarjama.chunking import plan_chunks
 from tarjama.cli import main
 from tarjama.corpus import TranslationUnit, unit_to_dict, write_units
 from tarjama.tokenizers import TokenizerSpec, count_tokens
-from tarjama.workqueue import (ResultIncompleteError, _atomic_write_json, _task_to_dict,
-                               _write_lock, acquire, complete, enqueue, fail_task,
-                               init_queue, pack_batches, queue_status, worker_loop)
+from tarjama.workqueue import (ResultIncompleteError, _atomic_write_json, _claim,
+                               _task_to_dict, _write_lock, acquire, complete, enqueue,
+                               fail_task, init_queue, pack_batches, queue_status,
+                               run_attempt, worker_loop)
 
 
 def make_units(n, conv="c", texts=None):
@@ -553,13 +559,65 @@ def test_no_attempt_is_granted_twice_after_a_holder_stopped_after_failing(
         fail_task(tmp_path, held, "w1", "poison")
     assert json.loads((tmp_path / "failed" / f"{task.task_id}.json").read_text())[
         "reason"] == "poison"
-    # The task is still pending, so it is retried at its next attempt, once.
+    # The lock linked onto failed/ ends the task: the next claim tidies up.
     assert acquire(tmp_path, "w2", ttl=60, now=clock) is None
     clock.advance(61)
     claims = [acquire(tmp_path, f"w{i}", ttl=60, now=clock) for i in range(3, 6)]
-    assert [c.attempt for c in claims if c is not None] == [1]
-    assert sorted(p.name for p in (tmp_path / "leases").iterdir()) == [
-        f"{task.task_id}.1.lock", f"{task.task_id}.lock"]
+    assert claims == [None, None, None]
+    assert json.loads((tmp_path / "failed" / f"{task.task_id}.json").read_text())[
+        "reason"] == "poison"
+    assert list((tmp_path / "pending").iterdir()) == []
+    assert list((tmp_path / "leases").iterdir()) == []
+    assert queue_status(tmp_path, now=clock) == {"pending": 0, "leased": 0, "done": 0,
+                                                 "failed": 1}
+
+
+@pytest.mark.parametrize("stopped", ["done", "failed"])
+def test_a_holder_that_stopped_after_its_link_ends_the_task_for_a_peer_holding_it(
+        tmp_path, monkeypatch, stopped):
+    # w1's lease expires and w2 takes the task over; w1 then publishes and
+    # stops before the cleanup, and w2 goes on to finish the other way.
+    clock = FakeClock()
+    (task,) = enqueue(tmp_path, make_units(1), "seed", batch_size=1)
+    slow = acquire(tmp_path, "w1", ttl=60, now=clock)
+    clock.advance(61)
+    peer = acquire(tmp_path, "w2", ttl=60, now=clock)
+    finish = {"done": lambda t, w: complete(tmp_path, t, w, {u.key: w for u in t.units}),
+              "failed": lambda t, w: fail_task(tmp_path, t, w, "poison")}
+    _crash_at(monkeypatch, "unlink", "pending")  # after the link, before the cleanup
+    with pytest.raises(Crash):
+        finish[stopped](slow, "w1")
+    assert not finish["failed" if stopped == "done" else "done"](peer, "w2")
+    assert [p.parent.name for p in tmp_path.glob("*/*.json")] == [stopped]
+    assert json.loads((tmp_path / stopped / f"{task.task_id}.json").read_text())[
+        "worker_id"] == "w1"
+    assert list((tmp_path / "leases").iterdir()) == []
+
+
+def test_a_crash_left_task_of_a_queue_with_done_record_files_is_sent_once_more(tmp_path):
+    # Earlier versions wrote a done/ record as a file of its own, not as a
+    # link of the lock; a task whose holder stopped before the cleanup is
+    # then translated again, its link onto done/ fails, and it is cleared.
+    clock = FakeClock()
+    (task,) = enqueue(tmp_path, make_units(3), "seed", batch_size=3)
+    done = tmp_path / "done" / f"{task.task_id}.json"
+    done.write_text(json.dumps({
+        "task_id": task.task_id, "translator_id": "seed", "worker_id": "w1", "attempt": 0,
+        "units": [dict(unit_to_dict(u), translated_text="old", translator_id="seed")
+                  for u in task.units]}), encoding="utf-8")
+    written = done.read_bytes()
+    lock = tmp_path / "leases" / f"{task.task_id}.lock"
+    lock.touch()
+    os.utime(lock, (clock(), clock()))
+    clock.advance(61)
+    table = FailingTable(failures=0)
+    backend = TranslatorBackend(id="seed", kind="mock-table", table=table)
+    assert worker_loop(tmp_path, backend, "w2", ttl=60, now=clock) == 0
+    assert table.calls == 3  # one call per unit
+    assert done.read_bytes() == written
+    assert list((tmp_path / "failed").iterdir()) == []
+    assert list((tmp_path / "pending").iterdir()) == []
+    assert list((tmp_path / "leases").iterdir()) == []
 
 
 @pytest.mark.parametrize("text", [b"{not json", b"\xff", b"[1, 2]", b'{"task_id": "x"}',
@@ -806,6 +864,200 @@ def test_worker_loop_completes_task_enqueued_mid_drain(tmp_path):
     assert status == {"pending": 0, "leased": 0, "done": 4, "failed": 0}
     late = [json.loads(p.read_text()) for p in (tmp_path / "done").glob("*.json")]
     assert any(r["units"][0]["conversation_id"] == "late" for r in late)
+
+
+# -- a model of the queue -----------------------------------------------------
+
+# The filesystem call before which a worker may stop: that of a clear, in a
+# claim; in an attempt, also the link of its record.  So it stops with its
+# record in its lock but not linked, linked but its task not cleared, or its
+# pending/ record cleared but a lock not.
+CLEARS = [("unlink", "pending"), ("unlink", "leases")]
+ATTEMPTS = [("transient", None), ("ok", None), ("permanent", None),
+            ("ok", ("link", "done")), ("permanent", ("link", "failed")),
+            *((outcome, crash) for outcome in ("ok", "permanent") for crash in CLEARS)]
+OUTCOMES = {"ok": None, "transient": BackendError, "permanent": BudgetExceededError}
+
+
+class ModelTable(dict):
+    """A worker's backend: it translates a source text to ``<text>``, or
+    raises ``error`` once ``sends_left`` texts are sent; it refuses a text
+    whose translation the worker's claim read from a lock."""
+
+    def __init__(self, kept):
+        super().__init__()
+        self.kept = kept
+        self.error, self.sends_left = None, 0
+
+    def get(self, key, default=None):
+        assert key not in self.kept, f"{key!r} was sent again after its translation was kept"
+        if self.error is not None:
+            if not self.sends_left:
+                raise self.error(f"{key!r} not translated")
+            self.sends_left -= 1
+        return f"<{key}>"
+
+
+class QueueModel(RuleBasedStateMachine):
+    """Two or three workers share one queue and one FakeClock.  A step
+    enqueues a task, moves the clock past the ttl, claims, or runs a held
+    attempt to its end with a backend outcome; a claim or an attempt may
+    stop its worker dead before one filesystem call, and a stopped worker
+    takes no further step.  At the end the clock passes the ttl and a
+    healthy worker drains the queue."""
+
+    TTL, MAX_ATTEMPTS, TASKS = 60, 4, 2
+
+    def __init__(self, queue):
+        super().__init__()
+        self.queue, self.clock = queue, FakeClock()
+        self.units = {}  # task id -> its pending/ record's units
+        self.grants = set()  # (task id, attempt) of every claim granted
+        self.kept = {}  # worker id -> the source texts its claim read as translated
+        self.workers = []
+        self.patch = pytest.MonkeyPatch()
+        self.patch.setattr(workqueue, "_claim", self._claim)
+
+    def _claim(self, dirs, task_id, ttl, now, worker_id, attempt=0):
+        task = _claim(dirs, task_id, ttl, now, worker_id, attempt)
+        if task is None:
+            return None
+        assert (task_id, task.attempt) not in self.grants, "an attempt was granted twice"
+        self.grants.add((task_id, task.attempt))
+        kept = {}  # the translations in the newest earlier lock that holds a record
+        for earlier in range(task.attempt - 1, -1, -1):
+            try:
+                record = json.loads(workqueue._lock_path(dirs["leases"], task_id, earlier)
+                                    .read_bytes())
+                kept = {u["source_text"]: u["translated_text"] for u in record["units"]
+                        if "translated_text" in u}
+                break
+            except (OSError, ValueError, LookupError):
+                pass
+        assert all(obj.get("translated_text") == kept[obj["source_text"]]
+                   for obj in task.unit_dicts if obj["source_text"] in kept)
+        self.kept[worker_id].clear()
+        self.kept[worker_id].update(kept)
+        return task
+
+    def _worker(self, wid):
+        self.kept[wid] = set()
+        table = ModelTable(self.kept[wid])
+        return {"id": wid, "table": table, "crashed": False, "task": None,
+                "next": None, "reason": None,
+                "backend": TranslatorBackend(id="seed", kind="mock-table", table=table)}
+
+    def _live(self, holding):
+        """The workers that have not stopped and hold a task just when *holding*."""
+        return [w for w in self.workers
+                if not w["crashed"] and (w["task"] is not None) == holding]
+
+    def _step(self, worker, crash, call):
+        """Run *call* for *worker*, which stops dead before the *crash* point,
+        unless it is the last worker that has not stopped."""
+        patch = pytest.MonkeyPatch()
+        if crash is not None and sum(not w["crashed"] for w in self.workers) > 1:
+            _crash_at(patch, *crash)
+        try:
+            call()
+        except Crash:
+            worker["crashed"] = True
+        finally:
+            patch.undo()
+
+    @initialize(workers=st.integers(2, 3), size=st.integers(1, 3))
+    def start(self, workers, size):
+        self.workers = [self._worker(f"w{i}") for i in range(workers)]
+        self.add_task(size)
+
+    @precondition(lambda self: len(self.units) < self.TASKS)
+    @rule(size=st.integers(1, 3))
+    def add_task(self, size):
+        texts = [f"t{len(self.units)}u{i}" for i in range(size)]
+        (task,) = enqueue(self.queue, make_units(size, conv=texts[0], texts=texts), "seed",
+                          batch_size=size)
+        record = json.loads((self.queue / "pending" / f"{task.task_id}.json").read_text())
+        self.units[task.task_id] = record["units"]
+
+    @precondition(lambda self: self._live(holding=False)
+                  and any((self.queue / "pending").iterdir()))
+    @rule(pick=st.integers(0, 2), crash=st.none() | st.sampled_from(CLEARS))
+    def claim(self, pick, crash):
+        workers = self._live(holding=False)
+        worker = workers[pick % len(workers)]
+        task_id, attempt = worker["next"] or (None, 0)
+        worker["next"] = None
+
+        def call():
+            worker["task"] = (acquire(self.queue, worker["id"], self.TTL, now=self.clock)
+                              if task_id is None else
+                              workqueue._claim(workqueue._dirs(self.queue), task_id,
+                                               self.TTL, self.clock, worker["id"], attempt))
+
+        self._step(worker, crash, call)
+
+    @precondition(lambda self: self._live(holding=True))
+    @rule(pick=st.integers(0, 2), attempt=st.sampled_from(ATTEMPTS), sends=st.integers(0, 2))
+    def run(self, pick, attempt, sends):
+        outcome, crash = attempt
+        workers = self._live(holding=True)
+        worker = workers[pick % len(workers)]
+        task, reason = worker["task"], worker["reason"]
+        worker["task"] = worker["reason"] = None
+        worker["table"].error, worker["table"].sends_left = OUTCOMES[outcome], sends
+
+        def call():
+            result = run_attempt(self.queue, task, worker["backend"], worker["id"],
+                                 self.MAX_ATTEMPTS, reason, now=self.clock)
+            if isinstance(result, str):
+                worker["next"], worker["reason"] = (task.task_id, task.attempt + 1), result
+
+        self._step(worker, crash, call)
+
+    @precondition(lambda self: any((self.queue / "leases").iterdir())
+                  or len(self.units) == self.TASKS)  # so that some rule always applies
+    @rule()
+    def expire_leases(self):
+        self.clock.advance(self.TTL + 1)
+
+    def teardown(self):
+        try:
+            if sys.exc_info()[0] is None:  # every step passed
+                self._drain_and_check()
+        finally:
+            self.patch.undo()
+            shutil.rmtree(self.queue)
+
+    def _drain_and_check(self):
+        self.clock.advance(self.TTL + 1)
+        sleeps = []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            assert len(sleeps) < 20, "the drain does not end"
+            self.clock.advance(seconds)
+
+        healer = self._worker("healer")
+        worker_loop(self.queue, healer["backend"], "healer", self.TTL, self.MAX_ATTEMPTS,
+                    now=self.clock, sleep=sleep)
+        status = queue_status(self.queue, self.TTL, now=self.clock)
+        assert status["pending"] == status["leased"] == 0
+        assert status["done"] + status["failed"] == len(self.units), status
+        for task_id, units in self.units.items():
+            done, failed = (self.queue / state / f"{task_id}.json"
+                            for state in ("done", "failed"))
+            assert done.exists() != failed.exists(), f"task {task_id} has not one outcome"
+            if done.exists():
+                assert json.loads(done.read_text(encoding="utf-8"))["units"] == [
+                    dict(u, translated_text=f"<{u['source_text']}>", translator_id="seed")
+                    for u in units]
+
+
+def test_a_model_of_the_queue_gives_each_task_one_outcome(tmp_path):
+    run_state_machine_as_test(
+        lambda: QueueModel(Path(tempfile.mkdtemp(dir=tmp_path))),
+        settings=settings(derandomize=True, max_examples=250, stateful_step_count=20,
+                          deadline=None))
 
 
 # -- multi-process races -----------------------------------------------------

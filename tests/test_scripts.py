@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -87,9 +88,11 @@ def test_bench_pairs_summary_of_canned_runs(tmp_path, monkeypatch, capsys):
     pairs[2] = (bench.parse_run(_perfbench_stdout(2.0, 30.0)), pairs[2][1])
     assert [r["name"] for r in bench.summarize(pairs, metrics)] == ["wall_s", "peak_rss_mb"]
 
-    # Several --workload flags: the pairs of each in turn, one block each.
+    # Several --workload flags: the pairs of each in turn, one block each,
+    # and --json writes every run and summary.
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
     base, change = tmp_path / "base", tmp_path
+    base.mkdir()
     walls = {"many-short": {base: 2.0, change: 1.5}, "long-think": {base: 1.0, change: 1.1}}
     runs = []
 
@@ -100,7 +103,8 @@ def test_bench_pairs_summary_of_canned_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench, "run_once", run_once)
     monkeypatch.setattr(sys, "argv", ["bench_pairs.py", str(base), str(change),
                                       "--workload", "many-short", "--workload",
-                                      "long-think", "--pairs", "2"])
+                                      "long-think", "--pairs", "2", "--json",
+                                      str(tmp_path / "bench.json")])
     assert bench.main() == 0
     assert runs == [(w, side) for w in ("many-short", "long-think")
                     for side in ("base", "change", "change", "base")]
@@ -108,3 +112,21 @@ def test_bench_pairs_summary_of_canned_runs(tmp_path, monkeypatch, capsys):
     assert [b.splitlines()[-1].split()[0] for b in blocks[:-1]] == ["many-short",
                                                                    "long-think"]
     assert "GAIN" in blocks[1].splitlines()[0] and "GAIN" not in blocks[2]
+    report = json.loads((tmp_path / "bench.json").read_text(encoding="utf-8"))
+    assert {key: report[key] for key in ("seed", "seconds", "pairs", "python", "cpu_count")} == {
+        "seed": 1, "seconds": 35, "pairs": 2, "python": platform.python_version(),
+        "cpu_count": os.cpu_count()}
+    assert isinstance(report["base"], str) and isinstance(report["change"], str)
+    assert list(report["workloads"]) == ["many-short", "long-think"]
+    runs = report["workloads"]["many-short"]["runs"]
+    assert [(r["pair"], r["side"]) for r in runs] == [(0, "base"), (0, "change"),
+                                                      (1, "change"), (1, "base")]
+    assert [r["metrics"]["wall_s"] for r in runs] == [2.0, 1.5, 1.5, 2.0]
+    assert runs[0] == {"pair": 0, "side": "base", "correct": True,
+                       "metrics": {"wall_s": 2.0, "peak_rss_mb": 30.0},
+                       "sha256": ["sha256 ..."]}
+    for workload, gain in (("many-short", True), ("long-think", False)):
+        summary = report["workloads"][workload]["summary"]
+        assert [r["name"] for r in summary] == ["wall_s", "peak_rss_mb"]
+        assert (summary[0]["wins"], summary[0]["pairs"], summary[0]["gain"]) == (
+            2 * gain, 2, gain)
