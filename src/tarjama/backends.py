@@ -104,7 +104,8 @@ def translate_chunk(backend: TranslatorBackend, unit: TranslationUnit,
     When a tokenizer is supplied the full prompt is checked against the
     backend's input window first; exceeding it is a chunker bug, not a
     retryable condition.  A translation holding unpaired surrogates cannot
-    be written as UTF-8, so it is a ``BackendError`` too."""
+    be written as UTF-8, and a retry of the same prompt is no more likely
+    to mend it, so it is a ``PermanentBackendError`` too."""
     prompt = prompt_template.format(source=unit.source_text,
                                     target_language=target_language)
     if tokenizer is not None:
@@ -120,8 +121,8 @@ def translate_chunk(backend: TranslatorBackend, unit: TranslationUnit,
     else:
         text = _post_chat(backend, prompt)
     if _has_surrogates(text):
-        raise BackendError(f"backend {backend.id!r} returned unpaired surrogates "
-                           f"for unit {unit.key}")
+        raise PermanentBackendError(f"backend {backend.id!r} returned unpaired "
+                                    f"surrogates for unit {unit.key}")
     return text
 
 

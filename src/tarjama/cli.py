@@ -533,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=cmd_sample)
 
-    p = sub.add_parser("queue-status", help="pending/leased/done/failed counts")
+    p = sub.add_parser("queue-status", help="pending/leased/done/failed task counts; "
+                       "a pending task is leased while a lock of it is younger than the ttl")
     p.add_argument("--queue", required=True)
     _add_common(p)
     p.set_defaults(handler=cmd_queue_status)

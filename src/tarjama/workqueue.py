@@ -7,7 +7,9 @@ operations, so the queue is safe across worker processes on a shared
 filesystem.  Every queue file has one writer:
 
 * ``enqueue`` writes a task's pending record once, to a temp name renamed
-  into place, and nothing rewrites it;
+  into place, and nothing rewrites it.  A task that is neither pending nor
+  done gets a fresh one, after every lock its last run left and its
+  failed record are removed;
 * every attempt of a task is one exclusive create of that attempt's lock,
   an empty file whose mtime is its claim time; a claimant that finds a
   lock older than its own ``ttl`` moves on to the next attempt's lock.  A
@@ -18,10 +20,11 @@ filesystem.  Every queue file has one writer:
   failed record.  A holder whose lock is gone has lost the task to a
   peer, and publishes nothing;
 * a done or failed record is published by ``os.link``-ing the lock onto
-  its path; the link onto done/ fails if a record already exists;
-* a lock linked onto done/ or failed/ ends its task: a claimant that
-  cannot create that lock, or another holder about to publish, clears the
-  task instead, so each task gets one outcome.
+  its path; the link fails if a record already exists;
+* a task has ended when its pending record is gone, or when one of its
+  locks is linked onto a done or failed record (``_ended``): a claimant
+  that cannot create its lock, or a holder about to publish, clears such
+  a task instead, so each task is in one of pending/, done/ and failed/.
 
 A task holds at least ``batch_size`` units, and more only while their
 source text fits in the caller's character budget (``pack_batches``).
@@ -177,7 +180,9 @@ def enqueue(queue_dir: Union[str, Path], units: Sequence[TranslationUnit],
     *unit_texts* are the units' ``json_text(unit_to_dict(unit))`` texts,
     for a caller that has encoded them already; they are encoded here
     when not given.  Idempotent: batches already pending or done are not
-    re-added."""
+    re-added.  Any other batch first loses every lock its last run left,
+    then its failed/ record; a crash between these steps leaves it failed
+    or in no state, and enqueueing it again finishes the job."""
     if not units:
         raise ValueError("cannot enqueue zero units")
     if unit_texts is None:
@@ -195,8 +200,12 @@ def enqueue(queue_dir: Union[str, Path], units: Sequence[TranslationUnit],
         task = Task(_batch_task_id(units_json, translator_id), translator_id, 0, batch)
         tasks.append(task)
         pending_path = dirs["pending"] / f"{task.task_id}.json"
-        if not (pending_path.exists() or (dirs["done"] / pending_path.name).exists()):
-            _atomic_write_json(pending_path, _task_json(task, units_json))
+        if pending_path.exists() or (dirs["done"] / pending_path.name).exists():
+            continue
+        for lock in dirs["leases"].glob(f"{task.task_id}.*"):  # after a gap too
+            lock.unlink(missing_ok=True)
+        (dirs["failed"] / pending_path.name).unlink(missing_ok=True)
+        _atomic_write_json(pending_path, _task_json(task, units_json))
     return tasks
 
 
@@ -219,14 +228,6 @@ def _expired(lock_path: Path, ttl: float, now: Callable[[], float]) -> bool:
         return now() > lock_path.stat().st_mtime + ttl
     except FileNotFoundError:
         return True
-
-
-def _published(lock_path: Path) -> bool:
-    """Whether a lock is linked onto a done or failed record."""
-    try:
-        return lock_path.stat().st_nlink > 1
-    except FileNotFoundError:
-        return False
 
 
 def _pending_ids(pending: Path) -> Iterator[str]:
@@ -278,18 +279,20 @@ def _clear(dirs: dict[str, Path], task_id: str, held: int = 0) -> None:
                 return
 
 
-def _ended(dirs: dict[str, Path], task_id: str, held: int) -> bool:
-    """Whether a task has its outcome, as the holder of attempt *held* sees
-    it: its pending/ record is gone, or another of its locks is linked onto
-    a record."""
+def _ended(dirs: dict[str, Path], task_id: str, attempt: int) -> bool:
+    """Whether a task has ended: its pending/ record is gone, or one of its
+    locks is linked onto a done or failed record.  The locks read are those
+    of attempts 0 to *attempt*, and those after it up to the first one
+    missing."""
     if not (dirs["pending"] / f"{task_id}.json").exists():
         return True
-    for attempt in count():
-        lock = _lock_path(dirs["leases"], task_id, attempt)
-        if attempt > held and not lock.exists():
-            return False
-        if attempt != held and _published(lock):
-            return True
+    for n in count():
+        try:
+            if _lock_path(dirs["leases"], task_id, n).stat().st_nlink > 1:
+                return True
+        except FileNotFoundError:
+            if n > attempt:
+                return False
 
 
 def _publish(dirs: dict[str, Path], state: str, task_id: str, attempt: int,
@@ -298,16 +301,13 @@ def _publish(dirs: dict[str, Path], state: str, task_id: str, attempt: int,
     task's record in *state*/ ("done" or "failed"), and clear the task.
 
     False (with a warning) when the task has ended, or its lock is gone,
-    for a peer took it over.  A failed record replaces that of an earlier
-    failure."""
+    for a peer took it over."""
     lock = _lock_path(dirs["leases"], task_id, attempt)
     path = dirs[state] / f"{task_id}.json"
     try:
         published = not _ended(dirs, task_id, attempt)
         if published:
             _write_lock(lock, json_text(record))
-            if state == "failed":
-                path.unlink(missing_ok=True)
             os.link(lock, path)
     except FileNotFoundError:
         logger.warning("task %s was taken over by a peer; discarding duplicate from %s",
@@ -334,14 +334,15 @@ def _claim(dirs: dict[str, Path], task_id: str, ttl: float,
     """Lease one task by id at its first free attempt from *attempt* on, or
     None when it has ended, is held or is gone.
 
-    An attempt whose lock has expired is passed over, and one whose lock
-    is linked onto a record ends the task, which is cleared; the first
-    attempt without a lock is leased by creating that lock exclusively, so
-    no attempt is granted twice.  While pending/ still holds the task, it
-    is read from the newest earlier lock that holds a task record, or else
-    from pending/.  A pending record that is no task fails the task."""
+    A task that has ended (``_ended``) is cleared instead, whatever the age
+    of its locks; an attempt whose lock has expired is passed over, and the
+    first attempt without a lock is leased by creating that lock
+    exclusively, so no attempt is granted twice.  While pending/ still
+    holds the task, it is read from the newest earlier lock that holds a
+    task record, or else from pending/.  A pending record that is no task
+    fails the task."""
     while not _try_lock(lock := _lock_path(dirs["leases"], task_id, attempt), now()):
-        if _published(lock):  # its holder stopped between the link and _clear
+        if _ended(dirs, task_id, attempt):  # a holder stopped before its _clear
             _clear(dirs, task_id, attempt)
             return None
         if not _expired(lock, ttl, now):
@@ -407,9 +408,8 @@ def complete(queue_dir: Union[str, Path], task: Task, worker_id: str,
 
 def fail_task(queue_dir: Union[str, Path], task: Task, worker_id: str,
               reason: str) -> bool:
-    """Move a poison task to failed/ with diagnostics; a record left by an
-    earlier failure of the same task is replaced, so it holds the latest
-    reason.  False when the task's lock is gone, for a peer took it over."""
+    """Move a poison task to failed/ with diagnostics.  False when the task
+    has ended or its lock is gone, for a peer took it over."""
     record = dict(_task_to_dict(task), attempt=task.attempt, worker_id=worker_id,
                   reason=reason)
     return _publish(_dirs(queue_dir), "failed", task.task_id, task.attempt, record)
@@ -444,16 +444,17 @@ def done_unit_dicts(queue_dir: Union[str, Path],
 
 def queue_status(queue_dir: Union[str, Path], ttl: float = DEFAULT_TTL_SECONDS,
                  now: Callable[[], float] = time.time) -> dict[str, int]:
-    """Task counts per state; a task is leased while one of its locks is
-    younger than *ttl*."""
+    """Task counts per state; a pending task is leased while one of its
+    locks is younger than *ttl*."""
     _check_ttl(ttl)
     dirs = _dirs(queue_dir)
     records = (lambda p: sum(1 for _ in p.glob("*.json")))  # none if p is missing
+    pending = set(_pending_ids(dirs["pending"]))
     leased = {lock.name.split(".", 1)[0] for lock in dirs["leases"].glob("*.lock")
               if not _expired(lock, ttl, now)}
     return {
-        "pending": records(dirs["pending"]),
-        "leased": len(leased),
+        "pending": len(pending),
+        "leased": len(leased & pending),
         "done": records(dirs["done"]),
         "failed": records(dirs["failed"]),
     }

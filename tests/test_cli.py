@@ -330,6 +330,29 @@ def test_pipeline_fails_a_task_whose_translation_holds_a_lone_surrogate(tmp_path
         assert reason in err
 
 
+def test_a_pipeline_rerun_retries_a_failed_task_and_empties_failed(tmp_path):
+    convs = [make_conversation(f"c{i}", contents=[("user", f"hello {i}"), ("assistant", "ok")])
+             for i in range(3)]
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text(corpus_jsonl(convs), encoding="utf-8")
+    table_path = tmp_path / "table.json"
+    out = tmp_path / "out"
+    queue = out / "queue"
+    args = ["pipeline", "--input", str(corpus_path), "--out", str(out),
+            "--backend", "mock-table", "--table", str(table_path)]
+    table_path.write_text(json.dumps({"hello 1": "\ud800 bad"}), encoding="utf-8")
+    assert run(args, tmp_path)[0] == 1
+    assert len(list((queue / "failed").iterdir())) == 1
+    # The same --out, with a table that now translates the failed task.
+    table_path.write_text(json.dumps({"hello 1": "مرحبا"}), encoding="utf-8")
+    assert run(args, tmp_path)[0] == 0
+    translated = load_corpus(out / "translated_corpus.jsonl")
+    assert [c.id for c in translated] == ["c0", "c1", "c2"]
+    assert translated[1].messages[0].content == "مرحبا"
+    assert list((queue / "failed").iterdir()) == []
+    assert [len(list((queue / d).iterdir())) for d in ("pending", "leases")] == [0, 0]
+
+
 def test_pipeline_exits_1_naming_a_task_without_done_record(
         tmp_path, staged_corpus, monkeypatch, capsys):
     corpus_path, _, table_path, ini = staged_corpus

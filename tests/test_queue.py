@@ -253,18 +253,6 @@ def test_failed_writes_leave_no_temp_file(tmp_path):
     assert list(tmp_path.iterdir()) == [lock]
 
 
-def test_translation_with_lone_surrogate_fails_its_task(tmp_path):
-    enqueue(tmp_path, make_units(2), "seed", batch_size=2)
-    backend = TranslatorBackend(id="seed", kind="mock-table",
-                                table={"text 1": "\ud800 bad"})
-    assert worker_loop(tmp_path, backend, "w1", max_attempts=3) == 0
-    assert queue_status(tmp_path) == {"pending": 0, "leased": 0, "done": 0, "failed": 1}
-    assert list((tmp_path / "done").iterdir()) == []
-    (failed,) = (tmp_path / "failed").iterdir()
-    record = json.loads(failed.read_text(encoding="utf-8"))
-    assert record["attempt"] == 3 and "unpaired surrogates" in record["reason"]
-
-
 def test_complete_partial_results_rejected(tmp_path):
     clock = FakeClock()
     enqueue(tmp_path, make_units(3), "seed", batch_size=3)
@@ -348,6 +336,29 @@ class FailingTable(dict):
         if self.after < self.calls <= self.after + self.failures:
             raise self.error(f"backend down (call {self.calls})")
         return key
+
+
+class SurrogateTable(FailingTable):
+    """Identity lookup that counts its calls and answers "text 1" with an
+    unpaired surrogate."""
+
+    def get(self, key, default=None):
+        text = super().get(key, default)
+        return "\ud800 bad" if key == "text 1" else text
+
+
+def test_translation_with_lone_surrogate_fails_its_task(tmp_path):
+    # No retry can mend it: the first attempt fails, one call per unit.
+    enqueue(tmp_path, make_units(2), "seed", batch_size=2)
+    table = SurrogateTable(failures=0)
+    backend = TranslatorBackend(id="seed", kind="mock-table", table=table)
+    assert worker_loop(tmp_path, backend, "w1", max_attempts=3) == 0
+    assert table.calls == 2
+    assert queue_status(tmp_path) == {"pending": 0, "leased": 0, "done": 0, "failed": 1}
+    assert list((tmp_path / "done").iterdir()) == []
+    (failed,) = (tmp_path / "failed").iterdir()
+    record = json.loads(failed.read_text(encoding="utf-8"))
+    assert record["attempt"] == 0 and "unpaired surrogates" in record["reason"]
 
 
 def test_backend_error_retries_the_task_on_its_next_attempt(tmp_path):
@@ -494,14 +505,18 @@ class Crash(BaseException):
     """A worker stopping dead at one step of a completion."""
 
 
-def _crash_at(monkeypatch, name, parent):
-    """Make the first ``os.<name>`` onto a path in *parent*/ raise Crash."""
+def _crash_at(monkeypatch, name, parent, skip=0):
+    """Make the first ``os.<name>`` onto a path in *parent*/ after *skip*
+    such calls raise Crash."""
     real = getattr(os, name)
+    skipped = []
 
     def crashing(*args, **kwargs):
         if Path(args[-1]).parent.name == parent:
-            monkeypatch.undo()
-            raise Crash
+            if len(skipped) == skip:
+                monkeypatch.undo()
+                raise Crash
+            skipped.append(args[-1])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(os, name, crashing)
@@ -546,6 +561,67 @@ def test_the_next_claim_tidies_up_after_a_holder_that_stopped_after_the_link(
     record = json.loads((tmp_path / "done" / f"{task.task_id}.json").read_text())
     assert record["worker_id"] == "w1"
     assert list((tmp_path / "pending").iterdir()) == []
+    assert list((tmp_path / "leases").iterdir()) == []
+
+
+def test_a_retried_task_whose_holder_stopped_after_the_link_is_cleared_at_once(
+        tmp_path, monkeypatch):
+    # Attempt 0 keeps a translation through a transient error, which stamps
+    # its lock; attempt 1 is linked onto done/ and stops before the cleanup.
+    clock = FakeClock()
+    (task,) = enqueue(tmp_path, make_units(2), "seed", batch_size=2)
+    dirs = workqueue._dirs(tmp_path)
+    backend = TranslatorBackend(id="seed", kind="mock-table",
+                                table=FailingTable(failures=1, after=1))
+    held = acquire(tmp_path, "w1", ttl=60, now=clock)
+    assert isinstance(run_attempt(tmp_path, held, backend, "w1", now=clock), str)
+    held = _claim(dirs, task.task_id, 60, clock, "w1", 1)
+    _crash_at(monkeypatch, "unlink", "pending")  # after the link, before the cleanup
+    with pytest.raises(Crash):
+        run_attempt(tmp_path, held, backend, "w1", now=clock)
+    done = (tmp_path / "done" / f"{task.task_id}.json").read_bytes()
+    table = FailingTable(failures=0)
+    backend = TranslatorBackend(id="seed", kind="mock-table", table=table)
+
+    def sleep(seconds):
+        raise AssertionError("the worker waits on a lease of an ended task")
+
+    assert worker_loop(tmp_path, backend, "w2", ttl=60, now=clock, sleep=sleep) == 0
+    assert table.calls == 0
+    assert (tmp_path / "done" / f"{task.task_id}.json").read_bytes() == done
+    assert list((tmp_path / "pending").iterdir()) == []
+    assert list((tmp_path / "leases").iterdir()) == []
+
+
+@pytest.mark.parametrize("held", [0, 1])
+def test_a_rerun_finishes_a_failed_task_whose_cleanup_was_cut_short(
+        tmp_path, monkeypatch, held):
+    # The holder of attempt *held* stops after unlinking pending/ and the
+    # locks before its own, which stays linked onto failed/: lock 0, or
+    # lock 1 without lock 0.
+    clock = FakeClock()
+    units = make_units(2)
+    (task,) = enqueue(tmp_path, units, "seed", batch_size=2)
+    holder = acquire(tmp_path, "w1", ttl=60, now=clock)
+    for _ in range(held):
+        clock.advance(61)
+        holder = acquire(tmp_path, "w1", ttl=60, now=clock)
+    assert holder.attempt == held
+    _crash_at(monkeypatch, "unlink", "leases", skip=held)
+    with pytest.raises(Crash):
+        fail_task(tmp_path, holder, "w1", "poison")
+    assert [p.name for p in (tmp_path / "leases").iterdir()] == [
+        workqueue._lock_path(tmp_path / "leases", task.task_id, held).name]
+    assert queue_status(tmp_path, ttl=60, now=clock) == {
+        "pending": 0, "leased": 0, "done": 0, "failed": 1}
+    enqueue(tmp_path, units, "seed", batch_size=2)
+    assert list((tmp_path / "leases").iterdir()) == []
+    table = FailingTable(failures=0)
+    backend = TranslatorBackend(id="seed", kind="mock-table", table=table)
+    assert worker_loop(tmp_path, backend, "w2", ttl=60, now=clock) == 1
+    assert table.calls == 2  # one call per unit
+    assert queue_status(tmp_path, ttl=60, now=clock) == {
+        "pending": 0, "leased": 0, "done": 1, "failed": 0}
     assert list((tmp_path / "leases").iterdir()) == []
 
 
@@ -871,8 +947,11 @@ def test_worker_loop_completes_task_enqueued_mid_drain(tmp_path):
 # The filesystem call before which a worker may stop: that of a clear, in a
 # claim; in an attempt, also the link of its record.  So it stops with its
 # record in its lock but not linked, linked but its task not cleared, or its
-# pending/ record cleared but a lock not.
-CLEARS = [("unlink", "pending"), ("unlink", "leases")]
+# pending/ record cleared but a lock not, the first or the second.
+CLEARS = [("unlink", "pending"), ("unlink", "leases"), ("unlink", "leases", 1)]
+# Those before which an enqueue of a task again may stop: its removals of
+# the locks and the failed/ record a run left, and its pending/ rename.
+ENQUEUES = [("unlink", "leases"), ("unlink", "failed"), ("rename", "pending")]
 ATTEMPTS = [("transient", None), ("ok", None), ("permanent", None),
             ("ok", ("link", "done")), ("permanent", ("link", "failed")),
             *((outcome, crash) for outcome in ("ok", "permanent") for crash in CLEARS)]
@@ -900,11 +979,14 @@ class ModelTable(dict):
 
 class QueueModel(RuleBasedStateMachine):
     """Two or three workers share one queue and one FakeClock.  A step
-    enqueues a task, moves the clock past the ttl, claims, or runs a held
-    attempt to its end with a backend outcome; a claim or an attempt may
-    stop its worker dead before one filesystem call, and a stopped worker
-    takes no further step.  At the end the clock passes the ttl and a
-    healthy worker drains the queue."""
+    enqueues a task, enqueues one again as a rerun does, moves the clock
+    past the ttl, claims, or runs a held attempt to its end with a backend
+    outcome; a claim or an attempt may stop its worker dead before one
+    filesystem call, and a stopped worker takes no further step, while an
+    enqueue may stop before one of its own.  At the end a claim at the
+    current clock clears every pending task that has a linked lock; then
+    the clock passes the ttl and a healthy worker drains the queue, and a
+    rerun enqueues every task again and drains it once more."""
 
     TTL, MAX_ATTEMPTS, TASKS = 60, 4, 2
 
@@ -912,6 +994,8 @@ class QueueModel(RuleBasedStateMachine):
         super().__init__()
         self.queue, self.clock = queue, FakeClock()
         self.units = {}  # task id -> its pending/ record's units
+        self.texts = {}  # task id -> its units' source texts
+        self.cut = set()  # ids of tasks whose last enqueue stopped before pending/
         self.grants = set()  # (task id, attempt) of every claim granted
         self.kept = {}  # worker id -> the source texts its claim read as translated
         self.workers = []
@@ -974,10 +1058,48 @@ class QueueModel(RuleBasedStateMachine):
     @rule(size=st.integers(1, 3))
     def add_task(self, size):
         texts = [f"t{len(self.units)}u{i}" for i in range(size)]
-        (task,) = enqueue(self.queue, make_units(size, conv=texts[0], texts=texts), "seed",
-                          batch_size=size)
-        record = json.loads((self.queue / "pending" / f"{task.task_id}.json").read_text())
-        self.units[task.task_id] = record["units"]
+        task_id = self._enqueue(texts)
+        record = json.loads((self.queue / "pending" / f"{task_id}.json").read_text())
+        self.units[task_id], self.texts[task_id] = record["units"], texts
+
+    def _enqueue(self, texts):
+        (task,) = enqueue(self.queue, make_units(len(texts), conv=texts[0], texts=texts),
+                          "seed", batch_size=len(texts))
+        return task.task_id
+
+    def _enqueueable(self):
+        """The tasks that have neither a pending/ nor a done/ record, which
+        an enqueue makes pending again."""
+        return [task_id for task_id in self.units
+                if not any((self.queue / state / f"{task_id}.json").exists()
+                           for state in ("pending", "done"))]
+
+    def _enqueue_again(self, task_id, crash=None):
+        """Enqueue a task's units again, stopping dead before the *crash*
+        point; a task given a fresh pending/ record starts its attempts
+        afresh."""
+        fresh = task_id in self._enqueueable()
+        patch = pytest.MonkeyPatch()
+        if crash is not None:
+            _crash_at(patch, *crash)
+        try:
+            self._enqueue(self.texts[task_id])
+        except Crash:
+            self.cut.add(task_id)
+            return
+        finally:
+            patch.undo()
+        if fresh:
+            assert not any((self.queue / "leases").glob(f"{task_id}.*")), \
+                f"task {task_id} is pending again beside a lock of its last run"
+            self.cut.discard(task_id)
+            self.grants = {grant for grant in self.grants if grant[0] != task_id}
+
+    @precondition(lambda self: self._enqueueable())
+    @rule(pick=st.integers(0, 2), crash=st.none() | st.sampled_from(ENQUEUES))
+    def enqueue_again(self, pick, crash):
+        tasks = self._enqueueable()
+        self._enqueue_again(tasks[pick % len(tasks)], crash)
 
     @precondition(lambda self: self._live(holding=False)
                   and any((self.queue / "pending").iterdir()))
@@ -1029,7 +1151,35 @@ class QueueModel(RuleBasedStateMachine):
             shutil.rmtree(self.queue)
 
     def _drain_and_check(self):
+        # A task with a lock linked onto a record has ended: a claim at the
+        # current clock clears it, whatever the age of its other locks.
+        dirs = workqueue._dirs(self.queue)
+        self._worker("checker")
+        for task_id in self.units:
+            pending = dirs["pending"] / f"{task_id}.json"
+            if pending.exists() and any(lock.stat().st_nlink > 1
+                                        for lock in dirs["leases"].glob(f"{task_id}.*")):
+                assert workqueue._claim(dirs, task_id, self.TTL, self.clock, "checker") is None
+                assert not pending.exists(), f"ended task {task_id} is still pending"
         self.clock.advance(self.TTL + 1)
+        self._drain()
+        for task_id in self.units:
+            done, failed = ((self.queue / state / f"{task_id}.json").exists()
+                            for state in ("done", "failed"))
+            assert not (done and failed), f"task {task_id} has two outcomes"
+            assert done or failed or task_id in self.cut, f"task {task_id} has no outcome"
+        for task_id in self.units:  # a rerun translates every task not done
+            self._enqueue_again(task_id)
+        self._drain()
+        assert queue_status(self.queue, self.TTL, now=self.clock) == {
+            "pending": 0, "leased": 0, "done": len(self.units), "failed": 0}
+        for task_id, units in self.units.items():
+            done = self.queue / "done" / f"{task_id}.json"
+            assert json.loads(done.read_text(encoding="utf-8"))["units"] == [
+                dict(u, translated_text=f"<{u['source_text']}>", translator_id="seed")
+                for u in units]
+
+    def _drain(self):
         sleeps = []
 
         def sleep(seconds):
@@ -1042,15 +1192,6 @@ class QueueModel(RuleBasedStateMachine):
                     now=self.clock, sleep=sleep)
         status = queue_status(self.queue, self.TTL, now=self.clock)
         assert status["pending"] == status["leased"] == 0
-        assert status["done"] + status["failed"] == len(self.units), status
-        for task_id, units in self.units.items():
-            done, failed = (self.queue / state / f"{task_id}.json"
-                            for state in ("done", "failed"))
-            assert done.exists() != failed.exists(), f"task {task_id} has not one outcome"
-            if done.exists():
-                assert json.loads(done.read_text(encoding="utf-8"))["units"] == [
-                    dict(u, translated_text=f"<{u['source_text']}>", translator_id="seed")
-                    for u in units]
 
 
 def test_a_model_of_the_queue_gives_each_task_one_outcome(tmp_path):
