@@ -11,11 +11,15 @@ import argparse
 import hashlib
 import json
 import logging
+import os
+import shutil
 import sys
 import time
+from bisect import bisect_left, bisect_right
 from contextlib import ExitStack
+from itertools import accumulate, islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NoReturn, Optional, Sequence
 
 from . import __version__, uniscript
 from .backends import BackendError, HttpRewardScorer, TranslatorBackend
@@ -312,6 +316,105 @@ def cmd_queue_status(args, cfg: PipelineConfig) -> int:
     return 0
 
 
+# Source characters per process below which a fork costs `pipeline` more
+# than it saves: on a 2-vCPU host, two processes first beat one at about
+# twice this many characters, on prefixes of both perfbench's many-short
+# chats and its long-think traces.
+_CHARS_PER_PROCESS = 45_000
+
+# The files of pass 2, one line per conversation or unit, in shard order.
+_SHARDED_OUTPUTS = ("translated_units", "translated_corpus", "candidates", "scored",
+                    "winners")
+
+
+def _process_count(source_chars: int) -> int:
+    """How many processes `pipeline` runs: one per usable CPU, but none that
+    would get fewer than ``_CHARS_PER_PROCESS`` source characters, and one at
+    least."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, source_chars // _CHARS_PER_PROCESS))
+
+
+def _shard_bounds(sizes: Sequence[int], w: int) -> list[int]:
+    """Cut items of *sizes* into *w* contiguous shards of about equal total
+    size: shard k holds items ``bounds[k]`` to ``bounds[k + 1] - 1``.  Each
+    cut follows the first item at which the running total reaches k/w of
+    the whole."""
+    ends = list(accumulate(sizes))
+    total = ends[-1] if ends else 0
+    return [0, *(bisect_left(ends, -(-total * k // w)) + 1 for k in range(1, w)),
+            len(sizes)]
+
+
+def _child(fn: Callable[[int], object], k: int, write_fd: int, inherited) -> NoReturn:
+    """Run ``fn(k)`` in a forked child, send its result or exception to the
+    parent through *write_fd*, and leave through ``os._exit``: a child runs no
+    exit handler, writes no manifest line and flushes no buffer of the
+    parent's.  It closes the parent's read ends it *inherited* first, so a
+    parent that stops reading one of them does not block that child."""
+    import pickle
+
+    code = 1
+    try:
+        for pipe in inherited:
+            pipe.close()
+        try:
+            outcome = True, fn(k)
+        except Exception as exc:  # the parent raises it again
+            outcome = False, exc.__reduce__()
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_map(fn: Callable[[int], object], w: int) -> list:
+    """``[fn(0), ..., fn(w - 1)]``: ``fn(0)`` runs here and each other call in
+    a forked child, whose result comes back over a pipe.  With *w* = 1
+    nothing is forked.  Every child is reaped before this returns or raises.
+    The exception of the lowest k that raised one is raised again with its
+    own type, arguments and attributes, so a caller reports it as it would
+    the same exception raised here."""
+    if w == 1:
+        return [fn(0)]
+    import pickle
+
+    pids, pipes = [], []
+    try:
+        for k in range(1, w):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(fn, k, write_fd, pipes)
+            finally:
+                os.close(write_fd)  # in the parent: a child never returns
+            pids.append(pid)
+        results = [fn(0)]
+        sent = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for k, (data, status) in enumerate(zip(sent, statuses), start=1):
+        if status or not data:
+            raise ChildProcessError(f"pipeline process {k} ended without a result "
+                                    f"(wait status {status})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            cls, exc_args, *state = value
+            exc = cls.__new__(cls, *exc_args)
+            exc.__dict__.update(*state)
+            raise exc
+        results.append(value)
+    return results
+
+
 def cmd_pipeline(args, cfg: PipelineConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -325,19 +428,26 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
 
     conversations = load_corpus(args.input, strict=cfg.strict)
     queue_dir = out / "queue"
+    sizes = [sum(len(m.content) for m in conv.messages) for conv in conversations]
+    w = _process_count(sum(sizes))
 
     # Pass 1, per conversation: write its units, keep its untranslated system
     # units' dicts, and stream translatable units through pack_batches,
     # enqueueing each batch as one task as soon as it closes.  Each unit is
     # encoded once: its JSON text is its units.jsonl line and its part of
-    # the task.
+    # the task.  unit_starts[i] counts the translatable units before
+    # conversation i, and task_ends[t] those in tasks 0 to t.
     passthrough: dict[str, list[dict]] = {}
     task_ids: list[str] = []
+    task_ends: list[int] = []
+    unit_starts: list[int] = []
     texts: list[str] = []  # JSON texts of the units pack_batches has taken
 
     def translatable(units_fh) -> Iterator:
         chunk = chunker(cfg.chunking_tokenizer, policy)
+        taken = 0
         for conv in conversations:
+            unit_starts.append(taken)
             for unit in decompose(conv, chunk):
                 obj = unit_to_dict(unit)
                 text = json_text(obj)
@@ -347,6 +457,7 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
                         obj, translated_text=unit.source_text, translator_id="passthrough"))
                     continue
                 texts.append(text)
+                taken += 1
                 yield unit
 
     with _open_out(out / "units.jsonl") as units_fh:
@@ -358,52 +469,88 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
             (task,) = enqueue(queue_dir, batch, backend.id, batch_size=len(batch),
                               unit_texts=batch_texts)
             task_ids.append(task.task_id)
+            task_ends.append(len(batch) + (task_ends[-1] if task_ends else 0))
+
+    # The drain: w processes run a worker each, under its own worker id,
+    # until every task has ended.
+    def drain(k: int) -> int:
+        return worker_loop(queue_dir, backend,
+                           worker_id=f"pipeline-{os.uname().nodename}-{os.getpid()}",
+                           ttl=cfg.ttl_seconds, max_attempts=cfg.max_attempts,
+                           prompt_template=cfg.prompt_template,
+                           target_language=cfg.target_language)
+
     if task_ids:
-        worker_loop(queue_dir, backend, worker_id="pipeline-worker",
-                    ttl=cfg.ttl_seconds, max_attempts=cfg.max_attempts,
-                    prompt_template=cfg.prompt_template,
-                    target_language=cfg.target_language)
+        _fork_map(drain, w)
 
     # Pass 2, per conversation: rebuild, score and write it before reading
     # on; keep only the score rows.  The done/ records, read in enqueue
     # order, hold each conversation's translated units together; its
     # passthrough units join them there.  A unit's translated_units.jsonl
     # line is the JSON of its dict, and the rebuilt conversation's JSON
-    # serves both corpus and candidate line.
-    def translated_units() -> Iterator[dict]:
-        done = done_unit_dicts(queue_dir, task_ids)
-        obj = next(done, None)
-        for conv in conversations:
-            yield from passthrough.pop(conv.id, ())
-            while obj is not None and obj["conversation_id"] == conv.id:
-                yield obj
-                obj = next(done, None)
-
-    rebuilt_convs = rebuild_conversations(
-        ((c.id, c.split, c.category) for c in conversations), translated_units())
-    scored_rows = []
+    # serves both corpus and candidate line.  Shard k of the w contiguous
+    # shards goes to process k, which reads the done/ stream from the
+    # shard's first translatable unit on; process 0 writes the output
+    # files, each other process the part files that are appended to them.
+    bounds = _shard_bounds(sizes, w)
+    parts = out / ".pipeline-parts"
     translator_json = json_text(backend.id)
-    with ExitStack() as stack:
-        fh = {name: stack.enter_context(_open_out(out / f"{name}.jsonl")) for name in (
-            "translated_units", "translated_corpus", "candidates", "scored", "winners")}
-        for conv, (objs, rebuilt) in zip(conversations, rebuilt_convs):
-            fh["translated_units"].writelines(map(jsonl_line, objs))
-            rebuilt_json = json_text(conversation_to_dict(rebuilt))
-            fh["translated_corpus"].write(rebuilt_json + "\n")
-            fh["candidates"].write(  # jsonl_line's text of the candidate row
-                f'{{"conversation_id": {json_text(conv.id)}, '
-                f'"translator_id": {translator_json}, "conversation": {rebuilt_json}}}\n')
-            row = score_row(conv, Candidate(conv.id, backend.id, rebuilt),
-                            cfg.alpha, cfg.tau, cfg.analysis_tokenizer)
-            fh["scored"].write(jsonl_line(row))
-            fh["winners"].write(jsonl_line(
-                winner_and_ranking(conv.id, [row], cfg.combine_weights)[0]))
-            scored_rows.append(row)
+
+    def write_shard(k: int) -> list[dict]:
+        shard = conversations[bounds[k]:bounds[k + 1]]
+        first = unit_starts[bounds[k]] if shard else 0
+        t = bisect_right(task_ends, first)  # the task holding unit `first`
+        done = islice(done_unit_dicts(queue_dir, task_ids[t:]),
+                      first - (task_ends[t - 1] if t else 0), None)
+
+        def translated_units() -> Iterator[dict]:
+            obj = next(done, None)
+            for conv in shard:
+                yield from passthrough.pop(conv.id, ())
+                while obj is not None and obj["conversation_id"] == conv.id:
+                    yield obj
+                    obj = next(done, None)
+
+        rebuilt_convs = rebuild_conversations(
+            ((c.id, c.split, c.category) for c in shard), translated_units())
+        scored_rows = []
+        with ExitStack() as stack:
+            fh = {name: stack.enter_context(_open_out(
+                      out / f"{name}.jsonl" if k == 0 else parts / f"{name}.{k}.jsonl"))
+                  for name in _SHARDED_OUTPUTS}
+            for conv, (objs, rebuilt) in zip(shard, rebuilt_convs):
+                fh["translated_units"].writelines(map(jsonl_line, objs))
+                rebuilt_json = json_text(conversation_to_dict(rebuilt))
+                fh["translated_corpus"].write(rebuilt_json + "\n")
+                fh["candidates"].write(  # jsonl_line's text of the candidate row
+                    f'{{"conversation_id": {json_text(conv.id)}, '
+                    f'"translator_id": {translator_json}, "conversation": {rebuilt_json}}}\n')
+                row = score_row(conv, Candidate(conv.id, backend.id, rebuilt),
+                                cfg.alpha, cfg.tau, cfg.analysis_tokenizer)
+                fh["scored"].write(jsonl_line(row))
+                fh["winners"].write(jsonl_line(
+                    winner_and_ranking(conv.id, [row], cfg.combine_weights)[0]))
+                scored_rows.append(row)
+        return scored_rows
+
+    if w > 1:
+        parts.mkdir(exist_ok=True)
+    try:
+        shards = _fork_map(write_shard, w)
+        for name in _SHARDED_OUTPUTS:
+            for k in range(1, w):
+                with open(out / f"{name}.jsonl", "ab") as dest, \
+                        open(parts / f"{name}.{k}.jsonl", "rb") as part:
+                    shutil.copyfileobj(part, dest)
+    finally:
+        if w > 1:
+            shutil.rmtree(parts, ignore_errors=True)
 
     ext = {"markdown": "md", "csv": "csv", "json": "json"}[args.format]
     report_path = out / f"report.{ext}"
-    report_path.write_text(_split_report(scored_rows, args.format, cfg)[1],
-                           encoding="utf-8")
+    report_path.write_text(
+        _split_report((row for rows in shards for row in rows), args.format, cfg)[1],
+        encoding="utf-8")
     print(f"pipeline complete: {len(conversations)} conversations -> {out}")
     print(f"report: {report_path}")
     return 0

@@ -1,7 +1,10 @@
 import json
 import math
+import os
+import re
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from operator import attrgetter
 from pathlib import Path
@@ -11,7 +14,8 @@ import pytest
 from tarjama.backends import HttpRewardScorer
 from tarjama.cli import main
 from tarjama.config import BackendConfig, load_config
-from tarjama.corpus import Candidate, conversation_to_dict, load_corpus, read_units
+from tarjama.corpus import (Candidate, IncompleteUnitSetError, conversation_to_dict,
+                            load_corpus, read_units)
 from tarjama.ranking import rank_candidates
 from tarjama.workqueue import enqueue
 
@@ -371,6 +375,145 @@ def test_pipeline_exits_1_naming_a_task_without_done_record(
     rc, _ = run(_pipeline_args(corpus_path, table_path, ini, tmp_path / "out"), tmp_path)
     assert rc == 1
     assert f"task {lost[0]} has no done/ record" in capsys.readouterr().err
+
+
+def _in_three_processes(monkeypatch):
+    """Make pipeline run three processes on any input."""
+    import tarjama.cli as cli
+    monkeypatch.setattr(cli, "_CHARS_PER_PROCESS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+def _sys_only_at_a_shard_start(corpus_path, tmp_path):
+    """A copy of the staged corpus with its system-only conversation, its
+    first line, moved to where the second of three shards starts; and the
+    shard bounds."""
+    import tarjama.cli as cli
+    lines = corpus_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path = tmp_path / "moved.jsonl"
+    for index in range(1, len(lines)):
+        path.write_text("".join([*lines[1:index + 1], lines[0], *lines[index + 1:]]),
+                        encoding="utf-8")
+        bounds = cli._shard_bounds([sum(len(m.content) for m in conv.messages)
+                                    for conv in load_corpus(path)], 3)
+        if bounds[1] == index:
+            return path, bounds
+    pytest.fail("no order puts the system-only conversation at a shard start")
+
+
+def _files_outside_queue(out):
+    return {path.relative_to(out): path.read_bytes() for path in out.rglob("*")
+            if path.is_file() and path.relative_to(out).parts[0] != "queue"}
+
+
+def test_pipeline_in_three_processes_writes_the_bytes_of_one(tmp_path, staged_corpus,
+                                                             monkeypatch):
+    corpus_path, _, table_path, ini = staged_corpus
+    corpus_path, bounds = _sys_only_at_a_shard_start(corpus_path, tmp_path)
+    import tarjama.workqueue as workqueue
+    real_translate = workqueue.translate_chunk
+
+    def slow_translate(*args, **kwargs):  # so the drain outlasts a fork
+        time.sleep(0.002)
+        return real_translate(*args, **kwargs)
+
+    monkeypatch.setattr(workqueue, "translate_chunk", slow_translate)
+    outs = {}
+    for w in (1, 3):
+        if w == 3:
+            _in_three_processes(monkeypatch)
+        outs[w] = tmp_path / f"out{w}"
+        manifest = tmp_path / f"runs{w}.jsonl"
+        assert main(_pipeline_args(corpus_path, table_path, ini, outs[w])
+                    + ["--manifest", str(manifest)]) == 0
+        assert len(manifest.read_text().splitlines()) == 1
+    assert _files_outside_queue(outs[3]) == _files_outside_queue(outs[1])
+    assert {str(path) for path in _files_outside_queue(outs[1])} == {
+        "units.jsonl", "translated_units.jsonl", "translated_corpus.jsonl",
+        "candidates.jsonl", "scored.jsonl", "winners.jsonl", "report.md"}
+
+    conversations = load_corpus(corpus_path)
+    assert conversations[bounds[1]].id == "sys-only"
+    index = {conv.id: i for i, conv in enumerate(conversations)}
+    spans = [{index[u["conversation_id"]] for u in json.loads(p.read_text())["units"]}
+             for p in (outs[3] / "queue" / "done").glob("*.json")]
+    assert any(min(span) < bound <= max(span) for span in spans for bound in bounds[1:-1])
+
+    own_id = f"pipeline-{os.uname().nodename}-{os.getpid()}"
+    worker_ids = {w: {json.loads(p.read_text())["worker_id"]
+                      for p in (out / "queue" / "done").glob("*.json")}
+                  for w, out in outs.items()}
+    assert worker_ids[1] == {own_id}
+    assert own_id in worker_ids[3] and len(worker_ids[3]) > 1
+    assert all(re.fullmatch(rf"pipeline-{re.escape(os.uname().nodename)}-\d+", worker_id)
+               for worker_id in worker_ids[3])
+
+
+def test_pipeline_reports_a_shard_process_failure_as_one_process_does(
+        tmp_path, staged_corpus, monkeypatch, capsys):
+    corpus_path, _, table_path, ini = staged_corpus
+    import tarjama.cli as cli
+    real_worker_loop = cli.worker_loop
+    parent = os.getpid()
+    last_id = load_corpus(corpus_path)[-1].id
+
+    def drain_then_lose_the_last_records(queue_dir, *args, **kwargs):
+        processed = real_worker_loop(queue_dir, *args, **kwargs)
+        if os.getpid() == parent:  # every task has ended once its drain returns
+            for record in (Path(queue_dir) / "done").glob("*.json"):
+                if last_id in {u["conversation_id"]
+                               for u in json.loads(record.read_text())["units"]}:
+                    record.unlink()
+        return processed
+
+    monkeypatch.setattr(cli, "worker_loop", drain_then_lose_the_last_records)
+    errors = {}
+    for w in (1, 3):
+        if w == 3:
+            _in_three_processes(monkeypatch)
+        out = tmp_path / f"out{w}"
+        assert run(_pipeline_args(corpus_path, table_path, ini, out), tmp_path)[0] == 1
+        errors[w] = [line for line in capsys.readouterr().err.splitlines()
+                     if "has no done/ record" in line]
+        assert [p.name for p in out.iterdir() if p.is_dir()] == ["queue"]
+    assert len(errors[1]) == 1 and errors[3] == errors[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pipeline_below_the_threshold_forks_nothing(tmp_path, staged_corpus, monkeypatch):
+    corpus_path, _, table_path, ini = staged_corpus
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run(_pipeline_args(corpus_path, table_path, ini, tmp_path / "out"),
+               tmp_path)[0] == 0
+
+
+def test_pipeline_fork_map_returns_in_order_and_raises_the_first_failure():
+    from tarjama.cli import _fork_map
+    assert _fork_map(lambda k: [k] * k, 3) == [[], [1], [2, 2]]
+
+    def fail(k):
+        if k == 1:
+            raise IncompleteUnitSetError([("c1", 0, 0, 1)])
+        if k == 2:
+            raise ValueError("later")
+        return k
+
+    with pytest.raises(IncompleteUnitSetError) as raised:
+        _fork_map(fail, 3)
+    assert raised.value.missing == [("c1", 0, 0, 1)]
+    assert str(raised.value) == str(IncompleteUnitSetError([("c1", 0, 0, 1)]))
+    with pytest.raises(FileNotFoundError) as raised:
+        _fork_map(lambda k: k and open(f"/nonexistent/{k}"), 2)
+    assert str(raised.value) == "[Errno 2] No such file or directory: '/nonexistent/1'"
+    with pytest.raises(ChildProcessError, match="process 1 ended without a result"):
+        _fork_map(lambda k: k and os._exit(3), 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_reconstruct_rejects_done_record_without_translation(tmp_path, capsys):

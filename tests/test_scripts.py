@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +20,16 @@ def _run_demo(workdir: Path) -> subprocess.CompletedProcess:
         env=env, cwd=workdir.parent, capture_output=True, text=True, timeout=120)
 
 
+# The worker id in a done/ record names the host and pid of the pipeline
+# process that drained the task.
+PIPELINE_WORKER_ID = re.compile(rb'"worker_id": "pipeline-[^"]+-[0-9]+"')
+
+
 def _artifacts(workdir: Path) -> dict[str, bytes]:
-    # runs.jsonl records paths and timestamps, so it differs between runs.
-    return {str(p.relative_to(workdir)): p.read_bytes()
+    # runs.jsonl records paths and timestamps, so it differs between runs,
+    # and so do the pids in worker ids.
+    return {str(p.relative_to(workdir)):
+            PIPELINE_WORKER_ID.sub(b'"worker_id": "pipeline-HOST-PID"', p.read_bytes())
             for p in sorted(workdir.rglob("*"))
             if p.is_file() and p.name != "runs.jsonl"}
 
