@@ -117,11 +117,13 @@ def _apply_flags(args, cfg: PipelineConfig) -> None:
         name: given[name] for name in ("min_lr", "min_scr", "reject_cjk") if name in given})
     backend = cfg.backend
     if "backend" in given:
-        backend = backend._replace(kind=given["backend"], id=given["backend"])
+        backend = backend._replace(kind=given["backend"])
     if "endpoint" in given:
         backend = backend._replace(kind="http-endpoint", endpoint=given["endpoint"])
     if "table" in given:
         backend = backend._replace(kind="mock-table", table_path=given["table"])
+    if given.keys() & {"backend", "endpoint", "table"}:  # the kind names translations
+        backend = backend._replace(id=backend.kind)
     cfg.backend = backend._replace(id=given.get("backend_id", backend.id),
                                    model=given.get("model", backend.model))
 
@@ -322,7 +324,7 @@ def cmd_queue_status(args, cfg: PipelineConfig) -> int:
 # chats and its long-think traces.
 _CHARS_PER_PROCESS = 45_000
 
-# The files of pass 2, one line per conversation or unit, in shard order.
+# The files each process writes one shard of, a line per conversation or unit.
 _SHARDED_OUTPUTS = ("translated_units", "translated_corpus", "candidates", "scored",
                     "winners")
 
@@ -349,8 +351,8 @@ def _shard_bounds(sizes: Sequence[int], w: int) -> list[int]:
             len(sizes)]
 
 
-def _child(fn: Callable[[int], object], k: int, write_fd: int, inherited) -> NoReturn:
-    """Run ``fn(k)`` in a forked child, send its result or exception to the
+def _child(fn: Callable[[int], None], k: int, write_fd: int, inherited) -> NoReturn:
+    """Run ``fn(k)`` in a forked child, send any exception it raises to the
     parent through *write_fd*, and leave through ``os._exit``: a child runs no
     exit handler, writes no manifest line and flushes no buffer of the
     parent's.  It closes the parent's read ends it *inherited* first, so a
@@ -361,26 +363,25 @@ def _child(fn: Callable[[int], object], k: int, write_fd: int, inherited) -> NoR
     try:
         for pipe in inherited:
             pipe.close()
-        try:
-            outcome = True, fn(k)
-        except Exception as exc:  # the parent raises it again
-            outcome = False, exc.__reduce__()
         with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome))
+            try:
+                fn(k)
+            except Exception as exc:  # the parent raises it again
+                pipe.write(pickle.dumps(exc.__reduce__()))
         code = 0
     finally:
         os._exit(code)
 
 
-def _fork_map(fn: Callable[[int], object], w: int) -> list:
-    """``[fn(0), ..., fn(w - 1)]``: ``fn(0)`` runs here and each other call in
-    a forked child, whose result comes back over a pipe.  With *w* = 1
-    nothing is forked.  Every child is reaped before this returns or raises.
-    The exception of the lowest k that raised one is raised again with its
-    own type, arguments and attributes, so a caller reports it as it would
-    the same exception raised here."""
+def _fork_map(fn: Callable[[int], None], w: int) -> None:
+    """Run ``fn(0)`` here and ``fn(1)``, ..., ``fn(w - 1)`` each in a forked
+    child at the same time; a child sends back only the exception it raises,
+    over a pipe.  With *w* = 1 nothing is forked.  Every child is reaped
+    before this returns or raises.  The exception of the lowest k that raised
+    one is raised again with its own type, arguments and attributes, so a
+    caller reports it as it would the same exception raised here."""
     if w == 1:
-        return [fn(0)]
+        return fn(0)
     import pickle
 
     pids, pipes = [], []
@@ -395,24 +396,21 @@ def _fork_map(fn: Callable[[int], object], w: int) -> list:
             finally:
                 os.close(write_fd)  # in the parent: a child never returns
             pids.append(pid)
-        results = [fn(0)]
+        fn(0)
         sent = [pipe.read() for pipe in pipes]
     finally:
         for pipe in pipes:
             pipe.close()
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     for k, (data, status) in enumerate(zip(sent, statuses), start=1):
-        if status or not data:
+        if status:
             raise ChildProcessError(f"pipeline process {k} ended without a result "
                                     f"(wait status {status})")
-        ok, value = pickle.loads(data)
-        if not ok:
-            cls, exc_args, *state = value
+        if data:
+            cls, exc_args, *state = pickle.loads(data)
             exc = cls.__new__(cls, *exc_args)
             exc.__dict__.update(*state)
             raise exc
-        results.append(value)
-    return results
 
 
 def cmd_pipeline(args, cfg: PipelineConfig) -> int:
@@ -471,32 +469,26 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
             task_ids.append(task.task_id)
             task_ends.append(len(batch) + (task_ends[-1] if task_ends else 0))
 
-    # The drain: w processes run a worker each, under its own worker id,
-    # until every task has ended.
-    def drain(k: int) -> int:
-        return worker_loop(queue_dir, backend,
-                           worker_id=f"pipeline-{os.uname().nodename}-{os.getpid()}",
-                           ttl=cfg.ttl_seconds, max_attempts=cfg.max_attempts,
-                           prompt_template=cfg.prompt_template,
-                           target_language=cfg.target_language)
-
-    if task_ids:
-        _fork_map(drain, w)
-
-    # Pass 2, per conversation: rebuild, score and write it before reading
-    # on; keep only the score rows.  The done/ records, read in enqueue
-    # order, hold each conversation's translated units together; its
-    # passthrough units join them there.  A unit's translated_units.jsonl
-    # line is the JSON of its dict, and the rebuilt conversation's JSON
-    # serves both corpus and candidate line.  Shard k of the w contiguous
-    # shards goes to process k, which reads the done/ stream from the
-    # shard's first translatable unit on; process 0 writes the output
-    # files, each other process the part files that are appended to them.
+    # Then each of w processes, this one and w - 1 forked children, drains
+    # the queue as a worker of its own, which returns once every task has
+    # ended, and rebuilds, scores and writes one of w contiguous shards a
+    # conversation at a time.  The done/ records, read in enqueue order,
+    # hold each conversation's translated units together; its passthrough
+    # units join them there.  A unit's translated_units.jsonl line is the
+    # JSON of its dict, and the rebuilt conversation's JSON serves both
+    # corpus and candidate line.  Process k reads the done/ stream from its
+    # shard's first translatable unit on; process 0 writes the output files,
+    # each other process the part files that are appended to them.
     bounds = _shard_bounds(sizes, w)
     parts = out / ".pipeline-parts"
     translator_json = json_text(backend.id)
 
-    def write_shard(k: int) -> list[dict]:
+    def drain_and_write_shard(k: int) -> None:
+        worker_loop(queue_dir, backend,
+                    worker_id=f"pipeline-{os.uname().nodename}-{os.getpid()}",
+                    ttl=cfg.ttl_seconds, max_attempts=cfg.max_attempts,
+                    prompt_template=cfg.prompt_template,
+                    target_language=cfg.target_language)
         shard = conversations[bounds[k]:bounds[k + 1]]
         first = unit_starts[bounds[k]] if shard else 0
         t = bisect_right(task_ends, first)  # the task holding unit `first`
@@ -513,7 +505,6 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
 
         rebuilt_convs = rebuild_conversations(
             ((c.id, c.split, c.category) for c in shard), translated_units())
-        scored_rows = []
         with ExitStack() as stack:
             fh = {name: stack.enter_context(_open_out(
                       out / f"{name}.jsonl" if k == 0 else parts / f"{name}.{k}.jsonl"))
@@ -530,26 +521,22 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
                 fh["scored"].write(jsonl_line(row))
                 fh["winners"].write(jsonl_line(
                     winner_and_ranking(conv.id, [row], cfg.combine_weights)[0]))
-                scored_rows.append(row)
-        return scored_rows
 
-    if w > 1:
-        parts.mkdir(exist_ok=True)
+    parts.mkdir(exist_ok=True)
     try:
-        shards = _fork_map(write_shard, w)
+        _fork_map(drain_and_write_shard, w)
         for name in _SHARDED_OUTPUTS:
             for k in range(1, w):
                 with open(out / f"{name}.jsonl", "ab") as dest, \
                         open(parts / f"{name}.{k}.jsonl", "rb") as part:
                     shutil.copyfileobj(part, dest)
     finally:
-        if w > 1:
-            shutil.rmtree(parts, ignore_errors=True)
+        shutil.rmtree(parts, ignore_errors=True)
 
     ext = {"markdown": "md", "csv": "csv", "json": "json"}[args.format]
     report_path = out / f"report.{ext}"
     report_path.write_text(
-        _split_report((row for rows in shards for row in rows), args.format, cfg)[1],
+        _split_report(_read_rows(out / "scored.jsonl"), args.format, cfg)[1],
         encoding="utf-8")
     print(f"pipeline complete: {len(conversations)} conversations -> {out}")
     print(f"report: {report_path}")

@@ -511,7 +511,8 @@ def worker_loop(queue_dir: Union[str, Path], backend: TranslatorBackend,
     The worker lists pending/ once per pass and tries to claim each listed
     task in directory order, not sorted order; it lists again only when
     the pass is used up, so a drain's cost per task does not grow with the
-    queue's depth, and returns when a fresh listing is empty.  While peers
+    queue's depth, and returns when a fresh listing is empty: only once every
+    task enqueued before the call has ended, by any worker.  While peers
     hold the remaining leases, a pass that claimed nothing is followed by
     a sleep that starts at ``poll_interval / 64`` and doubles on each
     further idle pass up to ``poll_interval``; a claim resets it, so a

@@ -69,6 +69,22 @@ def test_pipeline_mock_table_translates(tmp_path):
     assert translated[0].messages[0].content == "مرحبا"
 
 
+def test_pipeline_table_flag_labels_and_queues_its_translations_by_the_table_kind(tmp_path):
+    conv = make_conversation("c1", contents=[("user", "hi")])
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text(corpus_jsonl([conv]), encoding="utf-8")
+    table_path = tmp_path / "table.json"
+    table_path.write_text(json.dumps({"hi": "مرحبا"}), encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["pipeline", "--input", str(corpus_path), "--out", str(out)]
+    assert run(args, tmp_path)[0] == 0  # an identity run leaves its done/ records
+    assert run(args + ["--table", str(table_path)], tmp_path)[0] == 0
+    translated = load_corpus(out / "translated_corpus.jsonl")
+    assert translated[0].messages[0].content == "مرحبا"
+    candidate = json.loads((out / "candidates.jsonl").read_text(encoding="utf-8"))
+    assert candidate["translator_id"] == "mock-table"
+
+
 def test_pipeline_system_passthrough_flag(tmp_path):
     conv = make_conversation("c1", contents=[("system", "keep"), ("user", "hi")])
     corpus_path = tmp_path / "c.jsonl"
@@ -454,16 +470,19 @@ def test_pipeline_reports_a_shard_process_failure_as_one_process_does(
     corpus_path, _, table_path, ini = staged_corpus
     import tarjama.cli as cli
     real_worker_loop = cli.worker_loop
-    parent = os.getpid()
     last_id = load_corpus(corpus_path)[-1].id
 
     def drain_then_lose_the_last_records(queue_dir, *args, **kwargs):
+        # Every task has ended once a drain returns.  Each process loses the
+        # records itself, since none waits for its peers before it reads.
         processed = real_worker_loop(queue_dir, *args, **kwargs)
-        if os.getpid() == parent:  # every task has ended once its drain returns
-            for record in (Path(queue_dir) / "done").glob("*.json"):
-                if last_id in {u["conversation_id"]
-                               for u in json.loads(record.read_text())["units"]}:
-                    record.unlink()
+        for record in (Path(queue_dir) / "done").glob("*.json"):
+            try:
+                units = json.loads(record.read_text())["units"]
+            except FileNotFoundError:  # a peer lost it first
+                continue
+            if last_id in {u["conversation_id"] for u in units}:
+                record.unlink(missing_ok=True)
         return processed
 
     monkeypatch.setattr(cli, "worker_loop", drain_then_lose_the_last_records)
@@ -481,6 +500,72 @@ def test_pipeline_reports_a_shard_process_failure_as_one_process_does(
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_pipeline_in_three_processes_forks_each_child_once(tmp_path, staged_corpus,
+                                                           monkeypatch):
+    corpus_path, _, table_path, ini = staged_corpus
+    real_fork = os.fork
+    forks = []
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    _in_three_processes(monkeypatch)
+    assert run(_pipeline_args(corpus_path, table_path, ini, tmp_path / "out"),
+               tmp_path)[0] == 0
+    assert forks == [os.getpid()] * 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt, ext", [("markdown", "md"), ("csv", "csv"), ("json", "json")])
+def test_pipeline_report_is_the_stats_report_of_scored_in_one_and_three_processes(
+        tmp_path, staged_corpus, monkeypatch, fmt, ext):
+    corpus_path, _, table_path, ini = staged_corpus
+    reports = {}
+    for w in (1, 3):
+        if w == 3:
+            _in_three_processes(monkeypatch)
+        out = tmp_path / f"out{w}"
+        assert run(_pipeline_args(corpus_path, table_path, ini, out) + ["--format", fmt],
+                   tmp_path)[0] == 0
+        stats_report = tmp_path / f"stats{w}.{ext}"
+        assert run(["stats", "--scored", str(out / "scored.jsonl"), "--out",
+                    str(stats_report), "--format", fmt, "--config", str(ini)],
+                   tmp_path)[0] == 0
+        reports[w] = (out / f"report.{ext}").read_bytes()
+        assert reports[w] == stats_report.read_bytes()
+    assert reports[3] == reports[1]
+
+
+def test_pipeline_with_an_empty_shard_writes_the_bytes_of_one(tmp_path, staged_corpus,
+                                                              monkeypatch):
+    corpus_path, _, table_path, ini = staged_corpus
+    import tarjama.cli as cli
+    conversations = load_corpus(corpus_path)
+    others = sum(len(m.content) for conv in conversations for m in conv.messages)
+    words = LATIN_WORDS * (others // len(" ".join(LATIN_WORDS)) + 2)
+    conversations.append(make_conversation("long-last", contents=[
+        ("user", " ".join(words)), ("assistant", "done")]))
+    corpus_path = tmp_path / "long_last.jsonl"
+    corpus_path.write_text(corpus_jsonl(conversations), encoding="utf-8")
+    n = len(conversations)
+    assert cli._shard_bounds([sum(len(m.content) for m in conv.messages)
+                              for conv in conversations], 2) == [0, n, n]
+    monkeypatch.setattr(cli, "_CHARS_PER_PROCESS", 1)
+    outs = {}
+    for w in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(w)),
+                            raising=False)
+        outs[w] = tmp_path / f"out{w}"
+        assert run(_pipeline_args(corpus_path, table_path, ini, outs[w]), tmp_path)[0] == 0
+        assert not (outs[w] / ".pipeline-parts").exists()
+    assert _files_outside_queue(outs[2]) == _files_outside_queue(outs[1])
+    assert sorted(p.name for p in (outs[2] / "queue" / "done").iterdir()) == \
+        sorted(p.name for p in (outs[1] / "queue" / "done").iterdir())
+
+
 def test_pipeline_below_the_threshold_forks_nothing(tmp_path, staged_corpus, monkeypatch):
     corpus_path, _, table_path, ini = staged_corpus
 
@@ -492,9 +577,8 @@ def test_pipeline_below_the_threshold_forks_nothing(tmp_path, staged_corpus, mon
                tmp_path)[0] == 0
 
 
-def test_pipeline_fork_map_returns_in_order_and_raises_the_first_failure():
+def test_pipeline_fork_map_raises_the_first_failure():
     from tarjama.cli import _fork_map
-    assert _fork_map(lambda k: [k] * k, 3) == [[], [1], [2, 2]]
 
     def fail(k):
         if k == 1:
@@ -1180,10 +1264,11 @@ OVERRIDE_CASES = [
     ("work", ["--backend", "mock-table"], "backend",
      BackendConfig(id="mock-table", kind="mock-table"), ""),
     ("work", ["--endpoint", "http://127.0.0.1:9/v1"], "backend",
-     BackendConfig(kind="http-endpoint", endpoint="http://127.0.0.1:9/v1"), ""),
+     BackendConfig(id="http-endpoint", kind="http-endpoint",
+                   endpoint="http://127.0.0.1:9/v1"), ""),
     ("work", ["--model", "m"], "backend.model", "m", ""),
     ("work", ["--table", "t.json"], "backend",
-     BackendConfig(kind="mock-table", table_path="t.json"), ""),
+     BackendConfig(id="mock-table", kind="mock-table", table_path="t.json"), ""),
     ("score", ["--alpha", "1.0"], "alpha", 1.0, ""),
     ("score", ["--tau", "0.5"], "tau", 0.5, ""),
     ("rank", ["--weights", "1,1,1"], "combine_weights", (1.0, 1.0, 1.0), ""),
@@ -1201,6 +1286,8 @@ OVERRIDE_CASES = [
      "[backend]\nkind = mock-table\ntable_path = t.json\n"),
     ("pipeline", ["--backend", "mock-table", "--table", "t.json"], "backend",
      BackendConfig(kind="mock-table", id="mock-table", table_path="t.json"), ""),
+    ("pipeline", ["--table", "t.json", "--translator-id", "x"], "backend",
+     BackendConfig(kind="mock-table", id="x", table_path="t.json"), ""),
     ("pipeline", ["--no-translate-system"], "translate_system_messages", False, ""),
     ("decompose", ["--lenient"], "strict", False, ""),
 ]
