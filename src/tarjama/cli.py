@@ -29,8 +29,9 @@ from .config import (BackendConfig, ConfigurationError, PipelineConfig, checked_
                      _parse_ratios)
 from .corpus import (Candidate, CorpusError, check_translated_record, check_unit_record,
                      conversation_from_dict, conversation_to_dict, decompose, json_text,
-                     jsonl_line, load_corpus, rebuild_conversations, unit_from_dict,
-                     unit_to_dict, write_corpus, write_jsonl, write_units)
+                     jsonl_line, load_corpus, rebuild_conversations, reconstruct,
+                     unit_from_dict, unit_to_dict, write_corpus, write_jsonl,
+                     write_units)
 from .metrics import QualityScore
 from .ranking import (FitError, PreferenceRecord, bt_fit, row_field, row_quality,
                       score_row, winner_and_ranking)
@@ -136,7 +137,7 @@ def cmd_decompose(args, cfg: PipelineConfig) -> int:
     chunk = chunker(cfg.chunking_tokenizer, cfg.chunk_policy)
     units = []
     for conv in conversations:
-        units.extend(decompose(conv, chunk))
+        units.extend(decompose(conv, chunk, cfg.translate_system_messages))
     write_units(units, args.units_out)
     print(f"decomposed {len(conversations)} conversations into {len(units)} units")
     return 0
@@ -162,6 +163,9 @@ def cmd_work(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_reconstruct(args, cfg: PipelineConfig) -> int:
+    if not (args.corpus or cfg.translate_system_messages):
+        raise ValueError("translate_system_messages = false leaves system messages "
+                         "untranslated: give --corpus to restore them")
     if args.translated_units:
         objs = _read_rows(args.translated_units, check_translated_record)
     else:
@@ -170,12 +174,12 @@ def cmd_reconstruct(args, cfg: PipelineConfig) -> int:
     for obj in objs:
         grouped.setdefault(obj["conversation_id"], []).append(obj)
     if args.corpus:
-        sources = [(c.id, c.split, c.category)
-                   for c in load_corpus(args.corpus, strict=cfg.strict)]
+        sources = load_corpus(args.corpus, strict=cfg.strict)
+        conversations = [conv for _, conv in rebuild_conversations(
+            sources, (obj for c in sources for obj in grouped.get(c.id, ())),
+            cfg.translate_system_messages)]
     else:
-        sources = [(conv_id, "", None) for conv_id in grouped]
-    conversations = [conv for _, conv in rebuild_conversations(
-        sources, (obj for conv_id, _, _ in sources for obj in grouped.get(conv_id, ())))]
+        conversations = list(map(reconstruct, grouped.values()))
     write_corpus(conversations, args.out)
     print(f"reconstructed {len(conversations)} conversations")
     return 0
@@ -429,13 +433,11 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
     sizes = [sum(len(m.content) for m in conv.messages) for conv in conversations]
     w = _process_count(sum(sizes))
 
-    # Pass 1, per conversation: write its units, keep its untranslated system
-    # units' dicts, and stream translatable units through pack_batches,
-    # enqueueing each batch as one task as soon as it closes.  Each unit is
-    # encoded once: its JSON text is its units.jsonl line and its part of
-    # the task.  unit_starts[i] counts the translatable units before
+    # Pass 1, per conversation: write its units and stream them through
+    # pack_batches, enqueueing each batch as one task as soon as it closes.
+    # Each unit is encoded once: its JSON text is its units.jsonl line and
+    # its part of the task.  unit_starts[i] counts the units before
     # conversation i, and task_ends[t] those in tasks 0 to t.
-    passthrough: dict[str, list[dict]] = {}
     task_ids: list[str] = []
     task_ends: list[int] = []
     unit_starts: list[int] = []
@@ -446,14 +448,9 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
         taken = 0
         for conv in conversations:
             unit_starts.append(taken)
-            for unit in decompose(conv, chunk):
-                obj = unit_to_dict(unit)
-                text = json_text(obj)
+            for unit in decompose(conv, chunk, cfg.translate_system_messages):
+                text = json_text(unit_to_dict(unit))
                 units_fh.write(text + "\n")
-                if unit.role == "system" and not cfg.translate_system_messages:
-                    passthrough.setdefault(conv.id, []).append(dict(
-                        obj, translated_text=unit.source_text, translator_id="passthrough"))
-                    continue
                 texts.append(text)
                 taken += 1
                 yield unit
@@ -473,12 +470,12 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
     # the queue as a worker of its own, which returns once every task has
     # ended, and rebuilds, scores and writes one of w contiguous shards a
     # conversation at a time.  The done/ records, read in enqueue order,
-    # hold each conversation's translated units together; its passthrough
-    # units join them there.  A unit's translated_units.jsonl line is the
-    # JSON of its dict, and the rebuilt conversation's JSON serves both
-    # corpus and candidate line.  Process k reads the done/ stream from its
-    # shard's first translatable unit on; process 0 writes the output files,
-    # each other process the part files that are appended to them.
+    # hold each conversation's translated units together.  A unit's
+    # translated_units.jsonl line is the JSON of its dict, and the rebuilt
+    # conversation's JSON serves both corpus and candidate line.  Process k
+    # reads the done/ stream from its shard's first unit on; process 0
+    # writes the output files, each other process the part files that are
+    # appended to them.
     bounds = _shard_bounds(sizes, w)
     parts = out / ".pipeline-parts"
     translator_json = json_text(backend.id)
@@ -498,13 +495,12 @@ def cmd_pipeline(args, cfg: PipelineConfig) -> int:
         def translated_units() -> Iterator[dict]:
             obj = next(done, None)
             for conv in shard:
-                yield from passthrough.pop(conv.id, ())
                 while obj is not None and obj["conversation_id"] == conv.id:
                     yield obj
                     obj = next(done, None)
 
-        rebuilt_convs = rebuild_conversations(
-            ((c.id, c.split, c.category) for c in shard), translated_units())
+        rebuilt_convs = rebuild_conversations(shard, translated_units(),
+                                              cfg.translate_system_messages)
         with ExitStack() as stack:
             fh = {name: stack.enter_context(_open_out(
                       out / f"{name}.jsonl" if k == 0 else parts / f"{name}.{k}.jsonl"))

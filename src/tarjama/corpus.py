@@ -317,15 +317,23 @@ def join_parts(parts: Iterable[tuple[str, str]]) -> str:
                    for kind, text in parts)
 
 
-def decompose(conversation: Conversation,
-              chunk: Callable[[str], Sequence[str]]) -> list[TranslationUnit]:
-    """Flatten a conversation into translation units.
+def translates(role: str, translate_system: bool) -> bool:
+    """Whether a message of *role* is translated: a system message only with
+    *translate_system*.  One that is not has no units and rebuilds as is."""
+    return translate_system or role != "system"
+
+
+def decompose(conversation: Conversation, chunk: Callable[[str], Sequence[str]],
+              translate_system: bool = True) -> list[TranslationUnit]:
+    """Flatten a conversation's translated messages into translation units.
 
     ``chunk`` maps a part's text to its chunk texts, which must
     concatenate back to the part.
     """
     units: list[TranslationUnit] = []
     for msg in conversation.messages:
+        if not translates(msg.role, translate_system):
+            continue
         for part_index, part in enumerate(split_parts(msg.content)):
             chunk_texts = chunk(part.text)
             if "".join(chunk_texts) != part.text:
@@ -376,18 +384,18 @@ def _first_duplicate(units: Sequence[Mapping]) -> tuple:
 
 
 def reconstruct(units: Sequence[Mapping], split: str = "",
-                category: Optional[str] = None) -> Conversation:
+                category: Optional[str] = None, kept: Sequence[Message] = ()) -> Conversation:
     """Rebuild one conversation from the records of a complete set of
-    translated units.
+    translated units, splicing in the untranslated source messages *kept*.
 
     Insensitive to input order: one pass over the units sorted by
     (message, part, chunk) index.  Raises IncompleteUnitSetError when
     chunks or parts are missing and UnitConsistencyError when units
-    repeat a chunk or disagree on chunk_count, part type, or role.  Of
-    several faults it reports the first repeated chunk in input order,
-    else the first part whose chunks disagree, else every missing chunk,
-    else the missing messages, else the first message that misses a part
-    or mixes roles.
+    repeat a chunk, disagree on chunk_count, part type, or role, or name
+    a kept message.  Of several faults it reports the first repeated
+    chunk in input order, else the first part whose chunks disagree, else
+    every missing chunk, else a kept message's units, else the missing
+    messages, else the first message that misses a part or mixes roles.
     """
     if not units:
         raise IncompleteUnitSetError([("<no units>",)])
@@ -420,6 +428,11 @@ def reconstruct(units: Sequence[Mapping], split: str = "",
         raise conflict
     if missing:
         raise IncompleteUnitSetError(missing)
+    if kept:  # each one visible part of the whole content, so <think> stays as is
+        if clash := {m.index for m in kept}.intersection(map(itemgetter(0), parts)):
+            raise UnitConsistencyError(f"units for untranslated message {min(clash)}")
+        parts.extend((m.index, 0, m.role, PART_VISIBLE, m.content) for m in kept)
+        parts.sort()
 
     by_message = [(m, list(group)) for m, group in groupby(parts, itemgetter(0))]
     message_indices = [m for m, _ in by_message]
@@ -441,20 +454,29 @@ def reconstruct(units: Sequence[Mapping], split: str = "",
 
 
 def rebuild_conversations(
-        sources: Iterable[tuple[str, str, Optional[str]]],
-        unit_dicts: Iterable[Mapping]) -> Iterator[tuple[list[Mapping], Conversation]]:
-    """Per ``(id, split, category)`` source, its translated unit records in
-    ``units.jsonl`` order and the conversation they rebuild.  *unit_dicts*
-    hold each source's records together, in source order; CorpusError names
-    a source without units."""
+        sources: Iterable[Conversation], unit_dicts: Iterable[Mapping],
+        translate_system: bool = True) -> Iterator[tuple[list[Mapping], Conversation]]:
+    """Per source conversation, its translated unit records in ``units.jsonl``
+    order and its rebuild, which keeps the untranslated messages (see
+    ``translates``).  *unit_dicts* hold each source's records together, in
+    source order; CorpusError names a source with translated messages but
+    no units, and IncompleteUnitSetError the trailing messages a rebuild lacks."""
     groups = groupby(unit_dicts, itemgetter("conversation_id"))
     group_id, group = next(groups, (None, ()))
-    for conv_id, split, category in sources:
-        if group_id != conv_id:
-            raise CorpusError(f"no translated units for conversation {conv_id!r}")
+    for source in sources:
+        kept = [m for m in source.messages if not translates(m.role, translate_system)]
+        if group_id != source.id:
+            if len(kept) == len(source.messages):
+                yield [], source
+                continue
+            raise CorpusError(f"no translated units for conversation {source.id!r}")
         objs = sorted(group, key=_CHUNK_ORDER)
         group_id, group = next(groups, (None, ()))
-        yield objs, reconstruct(objs, split, category)
+        rebuilt = reconstruct(objs, source.split, source.category, kept)
+        if len(rebuilt.messages) < len(source.messages):
+            raise IncompleteUnitSetError([(m, "*", "*") for m in range(
+                len(rebuilt.messages), len(source.messages))])
+        yield objs, rebuilt
 
 
 def validate_candidate_structure(source: Conversation, candidate: Candidate) -> None:

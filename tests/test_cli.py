@@ -125,8 +125,10 @@ def test_pipeline_passes_through_system_only_conversations_anywhere(tmp_path):
     translated = [json.loads(line) for line in
                   (out / "translated_units.jsonl").read_text().splitlines()]
     assert [{k: u[k] for k in units[0]} for u in translated] == units
-    assert [u["translator_id"] for u in translated] == [
-        "passthrough" if u["role"] == "system" else "mock-table" for u in units]
+    # A system message has no units: its rebuild is the source message.
+    assert {u["conversation_id"] for u in units} == {"chat-1", "chat-2"}
+    assert {(u["role"], u["translator_id"]) for u in translated} == {
+        ("user", "mock-table"), ("assistant", "mock-table")}
     translated_turns = {"chat-1": [("system", "be brief"), ("user", "مرحبا"),
                                    ("assistant", "حسنا")],
                         "chat-2": [("user", "مرحبا"), ("assistant", "<think>حسنا</think>حسنا")]}
@@ -147,9 +149,10 @@ def test_pipeline_splits_each_message_into_parts_three_times(
                                 lambda content: calls.append(1) or real(content))
     assert run(_pipeline_args(corpus_path, table_path, ini, tmp_path / "out"),
                tmp_path)[0] == 0
-    # decompose, then the structure check of the source and of its candidate
-    messages = sum(len(conv.messages) for conv in load_corpus(corpus_path))
-    assert len(calls) == 3 * messages
+    # decompose, then the structure check of the source and of its candidate;
+    # decompose passes over the system messages that --no-translate-system keeps
+    messages = [m for conv in load_corpus(corpus_path) for m in conv.messages]
+    assert len(calls) == 3 * len(messages) - sum(m.role == "system" for m in messages)
 
 
 def test_decompose_enqueue_work_reconstruct_chain(tmp_path, fixture_corpus):
@@ -187,17 +190,32 @@ CHUNK_FLAGS = ["--target-tokens", "8", "--window-tokens", "3", "--hard-cap-token
 LATIN_TO_ARABIC = dict(zip(LATIN_WORDS, ARABIC_WORDS))
 
 
+# The staged corpus's config: CHUNK_FLAGS, batches of 5 and a setting for
+# system messages.
+STAGED_INI = """[queue]
+batch_size = 5
+
+[chunking]
+target_tokens = 8
+window_tokens = 3
+hard_cap_tokens = 9
+
+[run]
+translate_system_messages = {}
+"""
+
+
 @pytest.fixture
 def staged_corpus(tmp_path, rng):
     """Conversations with system prompts (one of them system-only), long
-    parts that chunk into several units, and a mock-table translation of
-    every non-system chunk."""
+    parts that chunk into several units, a mock-table translation of
+    every chunk, and a config that leaves system messages untranslated."""
     conversations = [make_conversation("sys-only", contents=[
-        ("system", "System note: only a system prompt here.")])]
+        ("system", "sample note: alpha beta gamma, text only.")])]
     for i, conv in enumerate(random_corpus(rng, 12, think_prob=0.6, max_words=40)):
         contents = [(m.role, m.content) for m in conv.messages if m.role != "system"]
         if i % 3:
-            contents.insert(0, ("system", f"System note {i}: answer in full sentences."))
+            contents.insert(0, ("system", f"sample {i}: queue alpha, rank beta in full text."))
         conversations.append(make_conversation(conv.id, split=conv.split,
                                                contents=contents))
     corpus_path = tmp_path / "corpus.jsonl"
@@ -208,16 +226,16 @@ def staged_corpus(tmp_path, rng):
     units = [json.loads(line) for line in units_path.read_text().splitlines()]
     table = {}
     for unit in units:
-        if unit["role"] != "system":
-            text = unit["source_text"]
-            for latin, arabic in LATIN_TO_ARABIC.items():
-                text = text.replace(latin, arabic)
-            table[unit["source_text"]] = text
-    assert not {u["source_text"] for u in units if u["role"] == "system"} & set(table)
+        text = unit["source_text"]
+        for latin, arabic in LATIN_TO_ARABIC.items():
+            text = text.replace(latin, arabic)
+        table[unit["source_text"]] = text
+    assert all(table[u["source_text"]] != u["source_text"]
+               for u in units if u["role"] == "system")
     table_path = tmp_path / "table.json"
     table_path.write_text(json.dumps(table, ensure_ascii=False), encoding="utf-8")
     ini = tmp_path / "conf.ini"
-    ini.write_text("[queue]\nbatch_size = 5\n", encoding="utf-8")
+    ini.write_text(STAGED_INI.format("false"), encoding="utf-8")
     return corpus_path, units_path, table_path, ini
 
 
@@ -227,36 +245,70 @@ def _pipeline_args(corpus_path, table_path, ini, out):
             "--config", str(ini), "--no-translate-system", *CHUNK_FLAGS]
 
 
-def test_pipeline_matches_single_stage_chain(tmp_path, staged_corpus):
-    corpus_path, units_path, table_path, ini = staged_corpus
+@pytest.mark.parametrize("translate_system", [True, False],
+                         ids=["system-translated", "system-kept"])
+def test_pipeline_matches_single_stage_chain(tmp_path, staged_corpus, monkeypatch,
+                                             translate_system):
+    corpus_path, _, table_path, _ = staged_corpus
+    import tarjama.workqueue as workqueue
+    sent = {"staged": [], "pipeline": []}
+    path = "staged"
+
+    def counting_translate(backend, unit, *args, **kwargs):
+        sent[path].append((unit.role, unit.source_text))
+        return real_translate(backend, unit, *args, **kwargs)
+
+    real_translate = workqueue.translate_chunk
+    monkeypatch.setattr(workqueue, "translate_chunk", counting_translate)
+    ini = tmp_path / "system.ini"
+    ini.write_text(STAGED_INI.format(str(translate_system).lower()), encoding="utf-8")
+    config = ["--config", str(ini)]
+    units_path = tmp_path / "units.jsonl"
     queue = tmp_path / "queue"
     rebuilt = tmp_path / "rebuilt.jsonl"
     candidates = tmp_path / "candidates.jsonl"
     scored = tmp_path / "scored.jsonl"
+    assert run(["decompose", "--input", str(corpus_path), "--units-out", str(units_path),
+                *config], tmp_path)[0] == 0
     assert run(["enqueue", "--units", str(units_path), "--queue", str(queue),
-                "--translator-id", "mock-table", "--batch-size", "5"], tmp_path)[0] == 0
+                "--translator-id", "mock-table", *config], tmp_path)[0] == 0
     assert run(["work", "--queue", str(queue), "--worker-id", "w0",
-                "--backend", "mock-table", "--table", str(table_path)], tmp_path)[0] == 0
+                "--backend", "mock-table", "--table", str(table_path), *config],
+               tmp_path)[0] == 0
     assert run(["reconstruct", "--from-queue", str(queue), "--corpus", str(corpus_path),
-                "--out", str(rebuilt)], tmp_path)[0] == 0
+                "--out", str(rebuilt), *config], tmp_path)[0] == 0
     candidates.write_text("".join(json.dumps({
         "conversation_id": conv.id, "translator_id": "mock-table",
         "conversation": conversation_to_dict(conv)}, ensure_ascii=False) + "\n"
         for conv in load_corpus(rebuilt)), encoding="utf-8")
     assert run(["score", "--corpus", str(corpus_path), "--candidates", str(candidates),
-                "--out", str(scored)], tmp_path)[0] == 0
+                "--out", str(scored), *config], tmp_path)[0] == 0
 
     out = tmp_path / "out"
-    assert run(_pipeline_args(corpus_path, table_path, ini, out), tmp_path)[0] == 0
+    path = "pipeline"
+    assert run(["pipeline", "--input", str(corpus_path), "--out", str(out),
+                "--backend", "mock-table", "--table", str(table_path), *config],
+               tmp_path)[0] == 0
     assert (out / "units.jsonl").read_bytes() == units_path.read_bytes()
     assert (out / "translated_corpus.jsonl").read_bytes() == rebuilt.read_bytes()
     assert (out / "candidates.jsonl").read_bytes() == candidates.read_bytes()
     assert (out / "scored.jsonl").read_bytes() == scored.read_bytes()
-    assert rebuilt.read_bytes() != corpus_path.read_bytes()  # the table translated
+    assert sorted(p.name for p in (out / "queue" / "done").iterdir()) == \
+        sorted(p.name for p in (queue / "done").iterdir())
+    # Both paths send the backend the same units, and a system unit only
+    # when the setting translates system messages.
+    assert sorted(sent["pipeline"]) == sorted(sent["staged"])
+    assert any(role == "system" for role, _ in sent["staged"]) == translate_system
+    # The table translates every text, so a system message is the source's
+    # exactly when it is not translated.
+    sources = load_corpus(corpus_path)
+    system_kept = [m == s for conv, src in zip(load_corpus(rebuilt), sources)
+                   for m, s in zip(conv.messages, src.messages) if m.role == "system"]
+    assert system_kept and set(system_kept) == {not translate_system}
     # One rule picks every winner: the pipeline's are rank's over its rows.
     winners = tmp_path / "winners.jsonl"
     assert run(["rank", "--scored", str(out / "scored.jsonl"), "--winners-out",
-                str(winners), "--config", str(ini)], tmp_path)[0] == 0
+                str(winners), *config], tmp_path)[0] == 0
     assert (out / "winners.jsonl").read_bytes() == winners.read_bytes()
 
     key = ("conversation_id", "message_index", "part_index", "chunk_index")
@@ -265,19 +317,11 @@ def test_pipeline_matches_single_stage_chain(tmp_path, staged_corpus):
                   (out / "translated_units.jsonl").read_text().splitlines()]
     assert [[u[k] for k in key] for u in translated] == [[u[k] for k in key] for u in units]
     # The setup exercises what the streaming pass 2 has to get right.
-    assert {u["translator_id"] for u in translated} == {"passthrough", "mock-table"}
+    assert {u["translator_id"] for u in translated} == {"mock-table"}
     assert any(u["chunk_count"] > 1 for u in units)
     records = [json.loads(p.read_text()) for p in (out / "queue" / "done").glob("*.json")]
     assert any(len({u["conversation_id"] for u in r["units"]}) > 1 for r in records)
-    # Pass 1 enqueues each batch as it closes, yet makes the batches, hence
-    # the task ids, of one enqueue of every translatable unit under the
-    # budget of batch_size full chunks.
-    translatable = [u for u in read_units(units_path) if u.role != "system"]
-    expected = enqueue(tmp_path / "q1", translatable, "mock-table", batch_size=5,
-                       char_budget=5 * 9)
-    assert len(expected) > 2 * 16
-    assert sorted(p.stem for p in (out / "queue" / "done").iterdir()) == \
-        sorted(t.task_id for t in expected)
+    assert len(records) > 2 * 16
 
 
 def test_pipeline_encodes_each_unit_once_into_enqueues_pending_records(
@@ -670,8 +714,67 @@ def test_reconstruct_from_translated_units_matches_pipeline(tmp_path, staged_cor
     assert run(_pipeline_args(corpus_path, table_path, ini, out), tmp_path)[0] == 0
     rebuilt = tmp_path / "rebuilt.jsonl"
     assert run(["reconstruct", "--translated-units", str(out / "translated_units.jsonl"),
-                "--corpus", str(corpus_path), "--out", str(rebuilt)], tmp_path)[0] == 0
+                "--corpus", str(corpus_path), "--out", str(rebuilt), "--config", str(ini)],
+               tmp_path)[0] == 0
     assert rebuilt.read_bytes() == (out / "translated_corpus.jsonl").read_bytes()
+
+
+def _system_last_run(tmp_path, *flags):
+    """A pipeline run of one conversation whose last message is a system message."""
+    conv = make_conversation("c1", contents=[("user", "hi"), ("assistant", "ok"),
+                                             ("system", "last")])
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text(corpus_jsonl([conv]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["pipeline", "--input", str(corpus_path), "--out", str(out), *flags],
+               tmp_path)[0] == 0
+    return corpus_path, out
+
+
+def test_reconstruct_from_translated_units_never_drops_a_trailing_message(tmp_path, capsys):
+    corpus_path, out = _system_last_run(tmp_path)
+    translated = out / "translated_units.jsonl"
+    rows = translated.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert json.loads(rows[-1])["role"] == "system"
+    translated.write_text("".join(rows[:-1]), encoding="utf-8")
+    rc, _ = run(["reconstruct", "--translated-units", str(translated),
+                 "--corpus", str(corpus_path), "--out", str(tmp_path / "r.jsonl")], tmp_path)
+    assert rc == 1
+    assert "missing units: (2, '*', '*')" in capsys.readouterr().err
+
+
+def test_reconstruct_from_queue_restores_system_messages_under_the_setting(tmp_path, capsys):
+    corpus_path, out = _system_last_run(tmp_path, "--no-translate-system")
+    ini = tmp_path / "kept.ini"
+    ini.write_text("[run]\ntranslate_system_messages = false\n", encoding="utf-8")
+    rebuilt = tmp_path / "r.jsonl"
+    args = ["reconstruct", "--from-queue", str(out / "queue"), "--corpus", str(corpus_path),
+            "--out", str(rebuilt)]
+    assert run(args, tmp_path)[0] == 1
+    assert "missing units: (2, '*', '*')" in capsys.readouterr().err
+    assert run(args + ["--config", str(ini)], tmp_path)[0] == 0
+    assert rebuilt.read_bytes() == (out / "translated_corpus.jsonl").read_bytes()
+    assert rebuilt.read_bytes() == corpus_path.read_bytes()
+
+
+def test_reconstruct_without_corpus_under_kept_system_messages_names_corpus(tmp_path,
+                                                                             capsys):
+    conversations = [make_conversation("first", contents=[("system", "s"), ("user", "hi")]),
+                     make_conversation("last", contents=[("user", "hi"), ("system", "s")])]
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text(corpus_jsonl(conversations), encoding="utf-8")
+    ini = tmp_path / "kept.ini"
+    ini.write_text("[run]\ntranslate_system_messages = false\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["pipeline", "--input", str(corpus_path), "--out", str(out),
+                "--config", str(ini)], tmp_path)[0] == 0
+    rebuilt = tmp_path / "r.jsonl"
+    rc, manifest = run(["reconstruct", "--from-queue", str(out / "queue"), "--out",
+                        str(rebuilt), "--config", str(ini)], tmp_path)
+    assert rc == 1
+    assert "give --corpus" in capsys.readouterr().err
+    assert not rebuilt.exists()
+    assert json.loads(manifest.read_text().splitlines()[-1])["exit_code"] == 1
 
 
 def test_reconstruct_from_queue_without_corpus_keeps_first_seen_order(tmp_path):

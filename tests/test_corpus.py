@@ -10,7 +10,7 @@ from tarjama.corpus import (Candidate, Conversation, CorpusError,
                             StructureMismatchError, ThinkSpanError,
                             UnitConsistencyError,
                             decompose, join_parts, json_text, parse_corpus,
-                            reconstruct, split_parts,
+                            rebuild_conversations, reconstruct, split_parts,
                             unit_from_dict, unit_to_dict,
                             validate_candidate_structure)
 from tarjama.tokenizers import TokenizerSpec
@@ -187,6 +187,46 @@ def test_reconstruct_conflicting_chunk_count():
     units[1]["chunk_count"] = 3
     with pytest.raises(UnitConsistencyError, match="chunk_count"):
         reconstruct(units)
+
+
+def test_rebuild_keeps_the_messages_it_does_not_translate_byte_for_byte():
+    conv = make_conversation("c", category="math", contents=[
+        ("system", "<think>plan</think>rules"), ("user", "hi"), ("system", "last")])
+    units = [dict(identity_translate(u), translated_text=u.source_text.upper())
+             for u in decompose(conv, single_chunk, translate_system=False)]
+    assert [u["role"] for u in units] == ["user"]
+    ((objs, rebuilt),) = rebuild_conversations([conv], units, translate_system=False)
+    assert objs == units
+    assert rebuilt == make_conversation("c", category="math", contents=[
+        ("system", "<think>plan</think>rules"), ("user", "HI"), ("system", "last")])
+
+
+def test_rebuild_needs_no_units_for_a_conversation_it_does_not_translate():
+    note = make_conversation("note", contents=[("system", "be brief")])
+    chat = make_conversation("chat")
+    assert decompose(note, single_chunk, translate_system=False) == []
+    units = [identity_translate(u) for u in decompose(chat, single_chunk)]
+    rebuilt = rebuild_conversations([note, chat, note], units, translate_system=False)
+    assert [conv for _, conv in rebuilt] == [note, chat, note]
+    with pytest.raises(CorpusError, match="no translated units for conversation 'note'"):
+        list(rebuild_conversations([note, chat], units))
+
+
+def test_rebuild_from_a_source_never_drops_a_trailing_message():
+    conv = make_conversation("c", contents=[("user", "hi"), ("assistant", "ok"),
+                                            ("system", "last")])
+    units = [identity_translate(u) for u in decompose(conv, single_chunk)][:2]
+    assert [conv for _, conv in rebuild_conversations([conv], units, False)] == [conv]
+    with pytest.raises(IncompleteUnitSetError) as err:
+        list(rebuild_conversations([conv], units))
+    assert err.value.missing == [(2, "*", "*")]
+
+
+def test_reconstruct_rejects_units_of_a_kept_message():
+    conv = make_conversation("c", contents=[("system", "note"), ("user", "hi")])
+    units = [identity_translate(u) for u in decompose(conv, single_chunk)]
+    with pytest.raises(UnitConsistencyError, match="units for untranslated message 0"):
+        reconstruct(units, kept=conv.messages[:1])
 
 
 @given(st.data())
